@@ -38,7 +38,6 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -301,8 +300,25 @@ impl MetricIds {
     }
 }
 
+/// Where the server is in its life. It lives inside [`Core`], so every
+/// transition and every check happens under the core lock: no thread can
+/// act on a state that another thread has already left.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Lifecycle {
+    /// Admitting and serving requests.
+    Serving,
+    /// The battery died: queued requests were dropped, new ones are
+    /// answered `Draining`, new connections are refused; open connections
+    /// stay up for metrics.
+    Draining,
+    /// [`Server::shutdown`] resolved every request and closed every
+    /// connection; nothing is admitted, dispatched or written any more.
+    Stopped,
+}
+
 /// Everything the threads share under one lock.
 struct Core {
+    lifecycle: Lifecycle,
     scheduler: DeadlineScheduler,
     controller: RuntimeController,
     battery: Battery,
@@ -330,14 +346,16 @@ struct Core {
 
 struct Shared {
     core: Mutex<Core>,
-    running: AtomicBool,
-    dead: AtomicBool,
     start: Instant,
     config: ServerConfig,
     spec: ServerSpec,
 }
 
 impl Shared {
+    fn lifecycle(&self) -> Lifecycle {
+        self.core.lock().expect("core lock").lifecycle
+    }
+
     fn now_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1_000.0
     }
@@ -360,7 +378,7 @@ impl Shared {
         while core.next_window_ms <= now_ms {
             let boundary = core.next_window_ms;
             core.next_window_ms += self.config.window_ms;
-            if !self.dead.load(Ordering::Acquire) {
+            if core.lifecycle == Lifecycle::Serving {
                 self.window_step(core, boundary);
             }
             // dead windows still scrape: subscribers keep seeing the
@@ -435,7 +453,7 @@ impl Shared {
     /// refuse mode. Connections stay open for draining responses and
     /// metrics queries.
     fn enter_drain(&self, core: &mut Core) {
-        self.dead.store(true, Ordering::Release);
+        core.lifecycle = Lifecycle::Draining;
         let dropped = core.scheduler.drain_queue();
         let level_pos = core.active_level as u32;
         let counter = core.ids.dropped_dead;
@@ -502,12 +520,17 @@ impl Shared {
     }
 
     /// One dispatch tick: advance windows, dispatch due batches, flush
-    /// responses whose simulated finish time has passed.
-    fn tick(&self, now_ms: f64) {
+    /// responses whose simulated finish time has passed. Returns `false`
+    /// once the server has stopped, and then does nothing: shutdown has
+    /// already resolved every request and closed every socket.
+    fn tick(&self, now_ms: f64) -> bool {
         let mut core = self.core.lock().expect("core lock");
         let core = &mut *core;
+        if core.lifecycle == Lifecycle::Stopped {
+            return false;
+        }
         self.advance_windows(core, now_ms);
-        if !self.dead.load(Ordering::Acquire) {
+        if core.lifecycle == Lifecycle::Serving {
             let service = self.service_closure(core);
             let level_pos = core.active_level;
             let completions = core.scheduler.dispatch(now_ms, level_pos, &service);
@@ -560,6 +583,7 @@ impl Shared {
             let Reverse(flight) = core.inflight.pop().expect("peeked");
             self.flush_completion(core, flight);
         }
+        true
     }
 
     /// A detached snapshot of the live counters, in the same shape the
@@ -620,6 +644,7 @@ impl Server {
             thermal_cap: None,
         });
         let core = Core {
+            lifecycle: Lifecycle::Serving,
             scheduler: DeadlineScheduler::new(config.scheduler),
             controller,
             battery,
@@ -639,8 +664,6 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             core: Mutex::new(core),
-            running: AtomicBool::new(true),
-            dead: AtomicBool::new(false),
             start: Instant::now(),
             config,
             spec,
@@ -650,10 +673,10 @@ impl Server {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("rt3-serve-dispatch".into())
-                .spawn(move || {
-                    while shared.running.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(shared.config.tick_ms));
-                        shared.tick(shared.now_ms());
+                .spawn(move || loop {
+                    std::thread::sleep(Duration::from_millis(shared.config.tick_ms));
+                    if !shared.tick(shared.now_ms()) {
+                        break;
                     }
                 })
                 .expect("spawn dispatch thread")
@@ -679,9 +702,10 @@ impl Server {
         self.addr
     }
 
-    /// Whether the battery has died and the server is draining.
+    /// Whether the battery has died and the server is draining (`false`
+    /// again once it has been shut down).
     pub fn is_draining(&self) -> bool {
-        self.shared.dead.load(Ordering::Acquire)
+        self.shared.lifecycle() == Lifecycle::Draining
     }
 
     /// A detached snapshot of the server's live counters — the same data
@@ -700,12 +724,13 @@ impl Server {
     /// explicit codes, every connection is closed, threads are joined.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        if !self.shared.running.swap(false, Ordering::AcqRel) {
-            return;
-        }
         {
             let mut core = self.shared.core.lock().expect("core lock");
             let core = &mut *core;
+            if core.lifecycle == Lifecycle::Stopped {
+                return;
+            }
+            core.lifecycle = Lifecycle::Stopped;
             let dropped = core.scheduler.drain_queue();
             let level_pos = core.active_level as u32;
             let counter = core.ids.dropped_shutdown;
@@ -754,13 +779,14 @@ impl Drop for Server {
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     loop {
         let accepted = listener.accept();
-        if !shared.running.load(Ordering::Acquire) {
+        let lifecycle = shared.lifecycle();
+        if lifecycle == Lifecycle::Stopped {
             return;
         }
         let Ok((stream, _peer)) = accepted else {
             continue;
         };
-        if shared.dead.load(Ordering::Acquire) {
+        if lifecycle == Lifecycle::Draining {
             // battery died: refuse with a terminal code instead of a
             // silent reset, then close
             let mut stream = stream;
@@ -805,6 +831,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     });
     {
         let mut core = shared.core.lock().expect("core lock");
+        if core.lifecycle == Lifecycle::Stopped {
+            // accepted just before the shutdown, which could not close a
+            // connection it never saw
+            writer.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
+            writer.shutdown();
+            return;
+        }
         let id = core.ids.connections_opened;
         core.shard.add(id, 1);
         core.connections.push(Arc::downgrade(&writer));
@@ -900,10 +933,28 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
     let now_ms = shared.now_ms();
     let mut core = shared.core.lock().expect("core lock");
     let core = &mut *core;
+    if core.lifecycle == Lifecycle::Stopped {
+        // the frame was read before the shutdown took the lock. The
+        // shutdown already closed this connection with a terminal frame,
+        // which is the client's answer; this request was never admitted,
+        // so it counts as no drop, and the write below fails and is counted
+        // like any other failed response.
+        let response = InferResponse {
+            id: client_id,
+            status: Status::DroppedShutdown,
+            level_pos: core.active_level as u32,
+            queue_ms: 0.0,
+            infer_ms: 0.0,
+        };
+        if !writer.send(&response.encode()) {
+            core.shard.add(core.ids.responses_failed, 1);
+        }
+        return;
+    }
     // catch up on window boundaries the dispatch thread hasn't ticked yet,
     // so admission always sees the current level and battery state
     shared.advance_windows(core, now_ms);
-    if shared.dead.load(Ordering::Acquire) {
+    if core.lifecycle == Lifecycle::Draining {
         let response = InferResponse {
             id: client_id,
             status: Status::Draining,

@@ -218,8 +218,10 @@ fn battery_death_drains_gracefully() {
     );
 }
 
-#[test]
-fn shutdown_resolves_every_outstanding_request() {
+/// Shuts a server down after `load_for` of closed-loop load from 8
+/// connections, and checks that every request resolved on both sides of
+/// the wire.
+fn shutdown_under_load(load_for: Duration) {
     let mut server = Server::spawn("127.0.0.1:0", healthy_spec(), fast_config()).unwrap();
     let addr = server.local_addr();
     let load = std::thread::spawn(move || {
@@ -233,7 +235,7 @@ fn shutdown_resolves_every_outstanding_request() {
             },
         )
     });
-    std::thread::sleep(Duration::from_millis(400));
+    std::thread::sleep(load_for);
     server.shutdown();
     let report = load.join().unwrap();
     assert_eq!(report.lost(), 0, "shutdown resolves every request");
@@ -247,6 +249,23 @@ fn shutdown_resolves_every_outstanding_request() {
     // sockets mid-conversation, so it must hold even across a shutdown
     if let Err(violations) = check_load_invariants(&report, &server.metrics_snapshot()) {
         panic!("load invariants violated:\n  {}", violations.join("\n  "));
+    }
+}
+
+#[test]
+fn shutdown_resolves_every_outstanding_request() {
+    shutdown_under_load(Duration::from_millis(400));
+}
+
+/// Regression loop for the shutdown race: a frame read before the
+/// shutdown took the core lock was admitted after the drain and left
+/// pending, and the dispatcher could complete it to a closed socket. The
+/// varying load time moves the shutdown across the serving cycle.
+#[test]
+fn shutdown_resolves_every_outstanding_request_repeatedly() {
+    for iteration in 0..200u64 {
+        eprintln!("shutdown iteration {iteration}");
+        shutdown_under_load(Duration::from_millis(40 + iteration % 9 * 5));
     }
 }
 

@@ -25,6 +25,7 @@
 //! assert_eq!(g.grad(w).get(0, 0), 3.0);
 //! ```
 
+use crate::kernels::{gelu, gelu_grad, layer_norm_row, softmax_rows_matrix};
 use crate::matrix::Matrix;
 use rand::Rng;
 
@@ -263,7 +264,7 @@ impl Graph {
     /// Gaussian error linear unit (tanh approximation), the Transformer FFN
     /// activation used by BERT-family models.
     pub fn gelu(&mut self, a: Var) -> Var {
-        let value = self.nodes[a.0].value.map(gelu_scalar);
+        let value = self.nodes[a.0].value.map(gelu);
         let rg = self.requires(a);
         self.push(value, Op::Gelu(a), rg)
     }
@@ -296,8 +297,7 @@ impl Graph {
     ///
     /// Panics if `gamma`/`beta` are not `1 x a.cols()`.
     pub fn layer_norm_rows(&mut self, a: Var, gamma: Var, beta: Var) -> Var {
-        const EPS: f32 = 1e-5;
-        let input = self.nodes[a.0].value.clone();
+        let input = &self.nodes[a.0].value;
         let gm = &self.nodes[gamma.0].value;
         let bm = &self.nodes[beta.0].value;
         assert_eq!(gm.rows(), 1, "gamma must be a single row");
@@ -305,20 +305,18 @@ impl Graph {
         assert_eq!(gm.cols(), input.cols(), "gamma width mismatch");
         assert_eq!(bm.cols(), input.cols(), "beta width mismatch");
         let mut normalized = Matrix::zeros(input.rows(), input.cols());
-        let mut inv_std = Vec::with_capacity(input.rows());
         let mut value = Matrix::zeros(input.rows(), input.cols());
-        for i in 0..input.rows() {
-            let row = input.row(i);
-            let mean = row.iter().sum::<f32>() / row.len() as f32;
-            let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / row.len() as f32;
-            let istd = 1.0 / (var + EPS).sqrt();
-            inv_std.push(istd);
-            for j in 0..input.cols() {
-                let n = (input.get(i, j) - mean) * istd;
-                normalized.set(i, j, n);
-                value.set(i, j, n * gm.get(0, j) + bm.get(0, j));
-            }
-        }
+        let inv_std = (0..input.rows())
+            .map(|i| {
+                layer_norm_row(
+                    input.row(i),
+                    gm.row(0),
+                    bm.row(0),
+                    normalized.row_mut(i),
+                    value.row_mut(i),
+                )
+            })
+            .collect();
         let rg = self.requires(a) || self.requires(gamma) || self.requires(beta);
         self.push(
             value,
@@ -583,7 +581,7 @@ impl Graph {
                     self.accumulate(a, &ga);
                 }
                 Op::Gelu(a) => {
-                    let ga = grad.zip(&self.nodes[a.0].value, |g, x| g * gelu_grad_scalar(x));
+                    let ga = grad.zip(&self.nodes[a.0].value, |g, x| g * gelu_grad(x));
                     self.accumulate(a, &ga);
                 }
                 Op::Tanh(a) => {
@@ -726,35 +724,6 @@ impl Graph {
         }
         self.nodes[v.0].grad.add_scaled_assign(grad, 1.0);
     }
-}
-
-/// Row-wise numerically stable softmax of a plain matrix (shared by the
-/// forward op and the fused cross-entropy loss).
-pub fn softmax_rows_matrix(m: &Matrix) -> Matrix {
-    let mut out = Matrix::zeros(m.rows(), m.cols());
-    for i in 0..m.rows() {
-        let row = m.row(i);
-        let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = row.iter().map(|&x| (x - max).exp()).collect();
-        let sum: f32 = exps.iter().sum();
-        for (j, e) in exps.iter().enumerate() {
-            out.set(i, j, e / sum);
-        }
-    }
-    out
-}
-
-fn gelu_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    0.5 * x * (1.0 + (SQRT_2_OVER_PI * (x + 0.044715 * x * x * x)).tanh())
-}
-
-fn gelu_grad_scalar(x: f32) -> f32 {
-    const SQRT_2_OVER_PI: f32 = 0.797_884_6;
-    let inner = SQRT_2_OVER_PI * (x + 0.044715 * x * x * x);
-    let tanh_inner = inner.tanh();
-    let sech2 = 1.0 - tanh_inner * tanh_inner;
-    0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * 0.044715 * x * x)
 }
 
 #[cfg(test)]

@@ -12,6 +12,9 @@
 //!   accessors the pruning algorithms need.
 //! * [`Graph`] / [`Var`] — tape-based automatic differentiation for training
 //!   the backbone model under weight masks.
+//! * [`gelu`], [`layer_norm_row`], [`softmax_row`] — the scalar and row
+//!   kernels, defined once and shared by the tape and the tape-free
+//!   inference forward of `rt3-transformer`.
 //! * [`Sgd`] / [`Adam`] — optimizers used during fine-tuning.
 //! * [`check_gradient`] — finite-difference verification used by tests.
 //!
@@ -41,10 +44,12 @@
 
 mod gradcheck;
 mod graph;
+mod kernels;
 mod matrix;
 mod optim;
 
 pub use gradcheck::{check_gradient, GradCheckReport};
-pub use graph::{softmax_rows_matrix, Graph, Var};
+pub use graph::{Graph, Var};
+pub use kernels::{gelu, layer_norm_row, softmax_row, softmax_rows_matrix};
 pub use matrix::Matrix;
 pub use optim::{Adam, Optimizer, Sgd};

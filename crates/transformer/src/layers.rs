@@ -2,17 +2,27 @@
 //! layer normalisation, encoder and decoder layers.
 //!
 //! Every layer owns its weights as plain [`Matrix`] values and exposes two
-//! operations:
+//! forwards that compute the same values:
 //!
-//! * `collect` / `collect_mut` — enumerate `(name, matrix)` pairs under a
-//!   prefix, used to build the model-wide parameter list;
 //! * `forward` — run the layer inside a [`Graph`], looking its weights up in
 //!   the [`ParamBindings`] created by the owning model (so pruning masks are
-//!   applied uniformly in one place).
+//!   applied uniformly in one place). This is the tape that training and
+//!   Level-2 search differentiate or score through.
+//! * `infer` — the tape-free inference forward: it reads the weights by
+//!   reference, takes the masks as `Option<&MaskSet>` and folds each mask
+//!   into the weight row it is multiplying, with no tape, no parameter
+//!   copies and no gradient buffers. It performs the float operations of
+//!   `forward` element by element in the same order, so its output is
+//!   bit-identical (see the `infer` module).
+//!
+//! `collect` / `collect_mut` enumerate `(name, matrix)` pairs under a
+//! prefix, used to build the model-wide parameter list.
 
+use crate::infer::{dots, linear, Weight};
+use crate::masks::MaskSet;
 use crate::model::ParamBindings;
 use rand::Rng;
-use rt3_tensor::{Graph, Matrix, Var};
+use rt3_tensor::{gelu, layer_norm_row, softmax_row, Graph, Matrix, Var};
 use serde::{Deserialize, Serialize};
 
 /// Multi-head attention with separate query/key/value/output projections.
@@ -152,12 +162,79 @@ impl MultiHeadAttention {
         let projected = g.matmul(concat, wo);
         g.add_row_broadcast(projected, bo)
     }
+
+    /// Tape-free [`MultiHeadAttention::forward`]. Each head reads its
+    /// column slice of Q/K/V in place and writes straight into its columns
+    /// of the concatenated output.
+    pub fn infer(
+        &self,
+        masks: Option<&MaskSet>,
+        prefix: &str,
+        query: &Matrix,
+        memory: &Matrix,
+        causal: bool,
+    ) -> Matrix {
+        let w = |value, field| Weight::bind(value, masks, prefix, field);
+        let q = linear(query, w(&self.wq, "wq"), w(&self.bq, "bq"));
+        let k = linear(memory, w(&self.wk, "wk"), w(&self.bk, "bk"));
+        let v = linear(memory, w(&self.wv, "wv"), w(&self.bv, "bv"));
+        let (seq_q, hidden) = q.shape();
+        let seq_k = k.rows();
+        let head_dim = hidden / self.num_heads;
+        let scale = 1.0 / (head_dim as f32).sqrt();
+        let mut concat = Matrix::zeros(seq_q, hidden);
+        let mut scores = vec![0.0; seq_k];
+        for h in 0..self.num_heads {
+            let cols = h * head_dim..(h + 1) * head_dim;
+            for i in 0..seq_q {
+                let q_row = &q.row(i)[cols.clone()];
+                let key = |j: usize| &k.row(j)[cols.clone()];
+                // four keys at a time, so their independent sums overlap
+                for (c, chunk) in scores.chunks_mut(4).enumerate() {
+                    let j = 4 * c;
+                    if let Ok(chunk) = <&mut [f32; 4]>::try_from(&mut *chunk) {
+                        *chunk = dots(q_row, [key(j), key(j + 1), key(j + 2), key(j + 3)]);
+                    } else {
+                        for (t, score) in chunk.iter_mut().enumerate() {
+                            *score = dots(q_row, [key(j + t)])[0];
+                        }
+                    }
+                }
+                for (j, score) in scores.iter_mut().enumerate() {
+                    *score *= scale;
+                    if causal {
+                        *score += causal_bias_at(i, j);
+                    }
+                }
+                softmax_row(&mut scores);
+                let out = &mut concat.row_mut(i)[cols.clone()];
+                for (j, &p) in scores.iter().enumerate() {
+                    if p == 0.0 {
+                        continue;
+                    }
+                    for (o, &b) in out.iter_mut().zip(&v.row(j)[cols.clone()]) {
+                        *o += p * b;
+                    }
+                }
+            }
+        }
+        linear(&concat, w(&self.wo, "wo"), w(&self.bo, "bo"))
+    }
 }
 
 /// Additive causal bias: 0 where attention is allowed, a large negative value
 /// where a query would look into the future.
 fn causal_bias(seq_q: usize, seq_k: usize) -> Matrix {
-    Matrix::from_fn(seq_q, seq_k, |i, j| if j > i { -1e9 } else { 0.0 })
+    Matrix::from_fn(seq_q, seq_k, causal_bias_at)
+}
+
+/// Entry `(i, j)` of [`causal_bias`].
+fn causal_bias_at(i: usize, j: usize) -> f32 {
+    if j > i {
+        -1e9
+    } else {
+        0.0
+    }
 }
 
 /// Position-wise feed-forward network (two linear layers with GELU).
@@ -212,6 +289,16 @@ impl FeedForward {
         let out = g.matmul(h, w2);
         g.add_row_broadcast(out, b2)
     }
+
+    /// Tape-free [`FeedForward::forward`].
+    pub fn infer(&self, masks: Option<&MaskSet>, prefix: &str, x: &Matrix) -> Matrix {
+        let w = |value, field| Weight::bind(value, masks, prefix, field);
+        let mut h = linear(x, w(&self.w1, "w1"), w(&self.b1, "b1"));
+        for v in h.as_mut_slice() {
+            *v = gelu(*v);
+        }
+        linear(&h, w(&self.w2, "w2"), w(&self.b2, "b2"))
+    }
 }
 
 /// Learnable layer-normalisation parameters.
@@ -249,6 +336,34 @@ impl LayerNormParams {
         let gamma = bindings.var(&format!("{prefix}.gamma"));
         let beta = bindings.var(&format!("{prefix}.beta"));
         g.layer_norm_rows(x, gamma, beta)
+    }
+
+    /// Tape-free add & norm: `LN(x + sublayer)`, the tape's residual `add`
+    /// followed by [`LayerNormParams::forward`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` and `sublayer` differ in shape.
+    pub fn infer(
+        &self,
+        masks: Option<&MaskSet>,
+        prefix: &str,
+        x: &Matrix,
+        sublayer: &Matrix,
+    ) -> Matrix {
+        let gamma = Weight::bind(&self.gamma, masks, prefix, "gamma").vector();
+        let beta = Weight::bind(&self.beta, masks, prefix, "beta").vector();
+        assert_eq!(x.shape(), sublayer.shape(), "zip shape mismatch");
+        let mut residual = vec![0.0; x.cols()];
+        let mut normalized = vec![0.0; x.cols()];
+        let mut out = Matrix::zeros(x.rows(), x.cols());
+        for i in 0..x.rows() {
+            for ((r, &a), &b) in residual.iter_mut().zip(x.row(i)).zip(sublayer.row(i)) {
+                *r = a + b;
+            }
+            layer_norm_row(&residual, &gamma, &beta, &mut normalized, out.row_mut(i));
+        }
+        out
     }
 }
 
@@ -313,6 +428,19 @@ impl EncoderLayer {
         let residual2 = g.add(x1, ffn_out);
         self.norm2
             .forward(g, bindings, &format!("{prefix}.norm2"), residual2)
+    }
+
+    /// Tape-free [`EncoderLayer::forward`].
+    pub fn infer(&self, masks: Option<&MaskSet>, prefix: &str, x: &Matrix, causal: bool) -> Matrix {
+        let attn_out = self
+            .attn
+            .infer(masks, &format!("{prefix}.attn"), x, x, causal);
+        let x1 = self
+            .norm1
+            .infer(masks, &format!("{prefix}.norm1"), x, &attn_out);
+        let ffn_out = self.ffn.infer(masks, &format!("{prefix}.ffn"), &x1);
+        self.norm2
+            .infer(masks, &format!("{prefix}.norm2"), &x1, &ffn_out)
     }
 }
 
@@ -402,6 +530,31 @@ impl DecoderLayer {
         let residual3 = g.add(x2, ffn_out);
         self.norm3
             .forward(g, bindings, &format!("{prefix}.norm3"), residual3)
+    }
+
+    /// Tape-free [`DecoderLayer::forward`].
+    pub fn infer(
+        &self,
+        masks: Option<&MaskSet>,
+        prefix: &str,
+        x: &Matrix,
+        memory: &Matrix,
+    ) -> Matrix {
+        let self_out = self
+            .self_attn
+            .infer(masks, &format!("{prefix}.self_attn"), x, x, true);
+        let x1 = self
+            .norm1
+            .infer(masks, &format!("{prefix}.norm1"), x, &self_out);
+        let cross_out =
+            self.cross_attn
+                .infer(masks, &format!("{prefix}.cross_attn"), &x1, memory, false);
+        let x2 = self
+            .norm2
+            .infer(masks, &format!("{prefix}.norm2"), &x1, &cross_out);
+        let ffn_out = self.ffn.infer(masks, &format!("{prefix}.ffn"), &x2);
+        self.norm3
+            .infer(masks, &format!("{prefix}.norm3"), &x2, &ffn_out)
     }
 }
 

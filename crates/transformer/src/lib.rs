@@ -5,7 +5,7 @@
 //!
 //! The paper evaluates two models: a small encoder–decoder Transformer
 //! (WikiText-2 next-word prediction) and DistilBERT (GLUE). This crate
-//! implements both shapes on top of the [`rt3_tensor`] autograd engine:
+//! implements both shapes on top of [`rt3_tensor`]:
 //!
 //! * [`TransformerLm`] — encoder–decoder language model
 //!   ([`TransformerConfig::paper_transformer`] reproduces the 2-encoder /
@@ -17,6 +17,26 @@
 //!   pruning algorithms (`rt3-pruning`) and masked training here.
 //! * [`train_lm`] / [`train_classifier`] — fine-tuning loops with optional
 //!   masks, used by the RT3 joint-training procedure.
+//!
+//! # Two forwards
+//!
+//! Each model runs forward in two ways:
+//!
+//! * **the tape** — [`TransformerLm::logits`] / [`SequenceClassifier::logits`]
+//!   record every op on an autograd [`Graph`](rt3_tensor::Graph) with the
+//!   weights bound by [`ParamBindings`]. Training and Level-2 search use it.
+//! * **the tape-free inference forward** — [`TransformerLm::infer_logits`]
+//!   / [`SequenceClassifier::infer_logits`], and `predict`, `predict_class`
+//!   and `predict_score` on top of them. It reads the weights by reference,
+//!   folds each mask into the weight row it is multiplying, and builds no
+//!   tape, copies no parameter and allocates no gradient buffer.
+//!
+//! The inference logits are **bit-identical** to the tape's for any masks.
+//! The reason: the tape-free path performs the same float operations in the
+//! same order for every output element (`o += a * (w * m)` over ascending
+//! `k`, skipping zero activations, bias added last). The scalar and row
+//! kernels (`gelu`, `layer_norm_row`, `softmax_row`) are defined once in
+//! `rt3-tensor` and shared by both paths. See DESIGN.md §14.
 //!
 //! # Examples
 //!
@@ -32,6 +52,7 @@
 #![warn(missing_docs)]
 
 mod config;
+mod infer;
 mod layers;
 mod masks;
 mod model;

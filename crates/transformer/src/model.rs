@@ -3,6 +3,7 @@
 //! classifier/regressor (GLUE experiments).
 
 use crate::config::TransformerConfig;
+use crate::infer::{embed, linear, Weight};
 use crate::layers::{DecoderLayer, EncoderLayer};
 use crate::masks::MaskSet;
 use rand::rngs::StdRng;
@@ -207,13 +208,7 @@ impl TransformerLm {
     /// Panics if the sequence is empty, longer than `max_seq_len`, or
     /// contains out-of-vocabulary ids.
     pub fn logits(&self, g: &mut Graph, bindings: &ParamBindings, tokens: &[usize]) -> Var {
-        assert!(!tokens.is_empty(), "token sequence must not be empty");
-        assert!(
-            tokens.len() <= self.config.max_seq_len,
-            "sequence length {} exceeds max_seq_len {}",
-            tokens.len(),
-            self.config.max_seq_len
-        );
+        check_sequence(tokens, self.config.max_seq_len);
         let tok_table = bindings.var("token_embedding");
         let pos_table = bindings.var("pos_embedding");
         let tok = g.gather_rows(tok_table, tokens);
@@ -252,13 +247,41 @@ impl TransformerLm {
         g.scale(total, 1.0 / losses.len() as f32)
     }
 
-    /// Greedy next-token predictions for one sequence (no gradient tracking).
+    /// Next-token logits (`seq_len x vocab`) from the tape-free inference
+    /// forward: bit-identical to [`TransformerLm::logits`] bound with the
+    /// same `masks`, without building a [`Graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`TransformerLm::logits`] rejects, and if a
+    /// mask's shape differs from its parameter's.
+    pub fn infer_logits(&self, tokens: &[usize], masks: Option<&MaskSet>) -> Matrix {
+        check_sequence(tokens, self.config.max_seq_len);
+        let w = |value, name| Weight::bind(value, masks, "", name);
+        let mut x = embed(
+            tokens,
+            w(&self.token_embedding, "token_embedding"),
+            w(&self.pos_embedding, "pos_embedding"),
+        );
+        for (i, enc) in self.encoders.iter().enumerate() {
+            x = enc.infer(masks, &format!("encoder.{i}"), &x, true);
+        }
+        let memory = x.clone();
+        for (i, dec) in self.decoders.iter().enumerate() {
+            x = dec.infer(masks, &format!("decoder.{i}"), &x, &memory);
+        }
+        linear(
+            &x,
+            w(&self.lm_head_w, "lm_head.w"),
+            w(&self.lm_head_b, "lm_head.b"),
+        )
+    }
+
+    /// Greedy next-token predictions for one sequence, from the tape-free
+    /// forward.
     pub fn predict(&self, tokens: &[usize], masks: Option<&MaskSet>) -> Vec<usize> {
-        let mut g = Graph::new();
-        let bindings = self.bind(&mut g, masks);
-        let logits = self.logits(&mut g, &bindings, tokens);
-        let values = g.value(logits);
-        (0..values.rows()).map(|r| values.row_argmax(r)).collect()
+        let logits = self.infer_logits(tokens, masks);
+        (0..logits.rows()).map(|r| logits.row_argmax(r)).collect()
     }
 }
 
@@ -359,13 +382,7 @@ impl SequenceClassifier {
     ///
     /// Panics if the sequence is empty or too long.
     pub fn logits(&self, g: &mut Graph, bindings: &ParamBindings, tokens: &[usize]) -> Var {
-        assert!(!tokens.is_empty(), "token sequence must not be empty");
-        assert!(
-            tokens.len() <= self.config.max_seq_len,
-            "sequence length {} exceeds max_seq_len {}",
-            tokens.len(),
-            self.config.max_seq_len
-        );
+        check_sequence(tokens, self.config.max_seq_len);
         let tok_table = bindings.var("token_embedding");
         let pos_table = bindings.var("pos_embedding");
         let tok = g.gather_rows(tok_table, tokens);
@@ -376,7 +393,7 @@ impl SequenceClassifier {
             x = enc.forward(g, bindings, &format!("encoder.{i}"), x, false);
         }
         // mean pooling over positions
-        let pool = g.constant(Matrix::filled(1, tokens.len(), 1.0 / tokens.len() as f32));
+        let pool = g.constant(mean_pool(tokens.len()));
         let pooled = g.matmul(pool, x);
         let head_w = bindings.var("head.w");
         let head_b = bindings.var("head.b");
@@ -411,20 +428,41 @@ impl SequenceClassifier {
         g.scale(total, 1.0 / losses.len() as f32)
     }
 
+    /// Pooled output logits (`1 x num_outputs`) from the tape-free
+    /// inference forward: bit-identical to [`SequenceClassifier::logits`]
+    /// bound with the same `masks`, without building a [`Graph`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the inputs [`SequenceClassifier::logits`] rejects, and if
+    /// a mask's shape differs from its parameter's.
+    pub fn infer_logits(&self, tokens: &[usize], masks: Option<&MaskSet>) -> Matrix {
+        check_sequence(tokens, self.config.max_seq_len);
+        let w = |value, name| Weight::bind(value, masks, "", name);
+        let mut x = embed(
+            tokens,
+            w(&self.token_embedding, "token_embedding"),
+            w(&self.pos_embedding, "pos_embedding"),
+        );
+        for (i, enc) in self.encoders.iter().enumerate() {
+            x = enc.infer(masks, &format!("encoder.{i}"), &x, false);
+        }
+        let pooled = mean_pool(tokens.len()).matmul(&x);
+        linear(
+            &pooled,
+            w(&self.head_w, "head.w"),
+            w(&self.head_b, "head.b"),
+        )
+    }
+
     /// Predicted class (argmax of the logits) for one sequence.
     pub fn predict_class(&self, tokens: &[usize], masks: Option<&MaskSet>) -> usize {
-        let mut g = Graph::new();
-        let bindings = self.bind(&mut g, masks);
-        let logits = self.logits(&mut g, &bindings, tokens);
-        g.value(logits).row_argmax(0)
+        self.infer_logits(tokens, masks).row_argmax(0)
     }
 
     /// Predicted regression score (rescaled back to `[0, 5]`).
     pub fn predict_score(&self, tokens: &[usize], masks: Option<&MaskSet>) -> f32 {
-        let mut g = Graph::new();
-        let bindings = self.bind(&mut g, masks);
-        let logits = self.logits(&mut g, &bindings, tokens);
-        g.value(logits).get(0, 0) * 5.0
+        self.infer_logits(tokens, masks).get(0, 0) * 5.0
     }
 }
 
@@ -456,6 +494,22 @@ impl Model for SequenceClassifier {
         out.push(("head.b".to_string(), &mut self.head_b));
         out
     }
+}
+
+/// The sequence checks both forwards run before anything else.
+fn check_sequence(tokens: &[usize], max_seq_len: usize) {
+    assert!(!tokens.is_empty(), "token sequence must not be empty");
+    assert!(
+        tokens.len() <= max_seq_len,
+        "sequence length {} exceeds max_seq_len {}",
+        tokens.len(),
+        max_seq_len
+    );
+}
+
+/// The `1 x len` row that mean-pools `len` positions by matrix product.
+fn mean_pool(len: usize) -> Matrix {
+    Matrix::filled(1, len, 1.0 / len as f32)
 }
 
 #[cfg(test)]
