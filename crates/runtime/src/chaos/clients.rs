@@ -59,6 +59,21 @@ impl Default for ClientPolicy {
 }
 
 impl ClientPolicy {
+    /// Open-loop traffic as the simplest closed loop: an unbounded
+    /// population that never suppresses an arrival, and one attempt per job,
+    /// so every failed attempt is abandoned and no retry (or jitter draw)
+    /// ever happens. [`crate::Fleet::run`] replays its trace under this
+    /// policy.
+    pub fn open_loop() -> Self {
+        Self {
+            population: usize::MAX,
+            max_outstanding: 1,
+            max_attempts: 1,
+            jitter_ms: 0.0,
+            ..Self::default()
+        }
+    }
+
     /// The fleet-wide cap on open jobs.
     pub fn max_backlog(&self) -> usize {
         self.population.saturating_mul(self.max_outstanding)

@@ -1,35 +1,38 @@
-//! The chaos replay driver: [`Fleet::run_chaos`] plays a [`ChaosScenario`]
-//! with a closed-loop client population instead of the open-loop arrival
-//! stream of [`Fleet::run`].
+//! The chaos replay driver and the fleet's only window loop:
+//! [`Fleet::run_chaos`] plays a [`ChaosScenario`] with a closed-loop client
+//! population, and [`Fleet::run`] is the same call with no overlays and
+//! [`ClientPolicy::open_loop`] clients.
 //!
-//! The window loop mirrors [`Fleet::run`] exactly (begin windows → route
-//! events in offset order with failover → end windows), with two changes:
-//! the arrival rate is scaled by the active flash-crowd multiplier, and
-//! every routed request is an *attempt* owned by a client job. Window-end
-//! outcomes ([`crate::Completion`]s and dead-queue drops) are fed back to
-//! the owning job, which retries with backoff + jitter or abandons per the
-//! [`super::ClientPolicy`]. Retries are quantised to window granularity:
-//! a failure in window `t` retries no earlier than window `t + 1` (its
-//! exact due time is preserved inside the target window as the arrival
-//! offset).
+//! Each window begins every device (battery events, death checks, level
+//! decisions), routes the window's events in offset order with failover,
+//! then ends every device's window. The arrival rate is scaled by the
+//! active flash-crowd multiplier, and every routed request is an *attempt*
+//! owned by a client job. Window-end outcomes ([`crate::Completion`]s and
+//! dead-queue drops) are fed back to the owning job, which retries with
+//! backoff + jitter or abandons per the [`ClientPolicy`]. Retries are
+//! quantised to window granularity: a failure in window `t` retries no
+//! earlier than window `t + 1` (its exact due time is preserved inside the
+//! target window as the arrival offset).
 //!
-//! Determinism: arrivals replay from the fleet seed exactly as in
-//! [`Fleet::run`]; client jitter draws from an independent RNG stream
-//! (`seed ⊕ CLIENT_SEED_SALT`) so closing the loop does not perturb the
-//! arrival sequence golden traces pin down.
+//! Determinism: arrivals replay from the fleet seed exactly as the
+//! open-loop trace draws them; client jitter draws from an independent RNG
+//! stream (`seed ⊕ CLIENT_SEED_SALT`) so closing the loop does not perturb
+//! the arrival sequence golden traces pin down. Under the open-loop policy
+//! the multiplier is 1.0, no arrival is suppressed and no jitter is drawn,
+//! so the replay is exactly the open-loop trace.
 
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rt3_telemetry::TelemetrySnapshot;
+use rt3_telemetry::{CounterId, TelemetrySnapshot};
 use rt3_transformer::Model;
 
 use crate::engine::{WINDOW_MS, WINDOW_S};
-use crate::fleet::{DeviceSnapshot, Fleet};
+use crate::fleet::Fleet;
 use crate::report::FleetReport;
 use crate::scenario::Scenario;
-use crate::scheduler::Request;
+use crate::scheduler::{Completion, Request};
 use crate::telemetry::{ChaosTelemetry, FleetTelemetry};
 
 use super::clients::{ClientPolicy, ClientReport};
@@ -44,9 +47,9 @@ const CLIENT_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 pub struct ChaosReport {
     /// Chaos scenario name.
     pub chaos: String,
-    /// Per-device and router outcomes, exactly as an open-loop
-    /// [`Fleet::run`] would report them (its `arrivals` are the attempts
-    /// the clients issued).
+    /// Per-device and router outcomes; its `arrivals` are the attempts the
+    /// clients issued. Under [`ClientPolicy::open_loop`] this is exactly
+    /// the report [`Fleet::run`] returns.
     pub fleet: FleetReport,
     /// The client population's outcomes.
     pub clients: ClientReport,
@@ -142,15 +145,20 @@ impl<'p> ClientLoop<'p> {
         }
     }
 
+    /// Adds `delta` to one client telemetry counter (a no-op when
+    /// telemetry is off).
+    fn count(&mut self, counter: fn(&ChaosTelemetry) -> CounterId, delta: u64) {
+        if let Some(ct) = &mut self.telemetry {
+            ct.add(counter(ct), delta);
+        }
+    }
+
     /// Tries to open a new job for a fresh arrival; `None` when the
     /// population is saturated and the arrival is suppressed instead.
     fn open_job(&mut self) -> Option<usize> {
         if self.open_jobs >= self.policy.max_backlog() as u64 {
             self.report.suppressed += 1;
-            if let Some(ct) = &mut self.telemetry {
-                let id = ct.suppressed;
-                ct.add(id, 1);
-            }
+            self.count(|ct| ct.suppressed, 1);
             return None;
         }
         self.jobs.push(Job {
@@ -159,10 +167,7 @@ impl<'p> ClientLoop<'p> {
         });
         self.open_jobs += 1;
         self.report.jobs += 1;
-        if let Some(ct) = &mut self.telemetry {
-            let id = ct.jobs;
-            ct.add(id, 1);
-        }
+        self.count(|ct| ct.jobs, 1);
         Some(self.jobs.len() - 1)
     }
 
@@ -170,16 +175,10 @@ impl<'p> ClientLoop<'p> {
     fn issue_attempt(&mut self, job_idx: usize, is_retry: bool) {
         self.jobs[job_idx].attempts += 1;
         self.report.attempts += 1;
+        self.count(|ct| ct.attempts, 1);
         if is_retry {
             self.report.retries += 1;
-        }
-        if let Some(ct) = &mut self.telemetry {
-            let id = ct.attempts;
-            ct.add(id, 1);
-            if is_retry {
-                let id = ct.retries;
-                ct.add(id, 1);
-            }
+            self.count(|ct| ct.retries, 1);
         }
     }
 
@@ -189,9 +188,50 @@ impl<'p> ClientLoop<'p> {
         self.jobs[job_idx].resolved = true;
         self.open_jobs -= 1;
         if let Some(ct) = &mut self.telemetry {
-            let hist = ct.attempts_per_job;
-            ct.record(hist, self.jobs[job_idx].attempts as f64);
+            ct.record(ct.attempts_per_job, self.jobs[job_idx].attempts as f64);
         }
+    }
+
+    /// An attempt no device would admit, at `arrival_ms` in window `t_s`.
+    fn reject(&mut self, job_idx: usize, arrival_ms: f64, t_s: u32) {
+        self.report.attempt_rejected += 1;
+        self.count(|ct| ct.attempt_rejected, 1);
+        self.fail_attempt(job_idx, arrival_ms, t_s);
+    }
+
+    /// A completion from window `t_s`: on time closes the job; late is
+    /// retried or grudgingly accepted per `retry_on_late`.
+    fn complete(&mut self, completion: &Completion, t_s: u32) {
+        let job_idx = self
+            .outstanding
+            .remove(&completion.id)
+            .expect("every completion belongs to an outstanding attempt");
+        if completion.met_deadline {
+            self.report.succeeded += 1;
+            self.report.attempt_completed += 1;
+            self.count(|ct| ct.succeeded, 1);
+            self.close_job(job_idx);
+        } else {
+            self.report.attempt_late += 1;
+            self.count(|ct| ct.attempt_late, 1);
+            if self.policy.retry_on_late {
+                self.fail_attempt(job_idx, completion.finish_ms, t_s);
+            } else {
+                self.report.succeeded_late += 1;
+                self.close_job(job_idx);
+            }
+        }
+    }
+
+    /// An attempt dropped from a dead device's queue at `window_end_ms`.
+    fn drop_dead(&mut self, request: &Request, window_end_ms: f64, t_s: u32) {
+        let job_idx = self
+            .outstanding
+            .remove(&request.id)
+            .expect("every dropped request belongs to an outstanding attempt");
+        self.report.attempt_dropped_dead += 1;
+        self.count(|ct| ct.attempt_dropped_dead, 1);
+        self.fail_attempt(job_idx, window_end_ms, t_s);
     }
 
     /// Handles a failed attempt at `fail_ms` in window `t_s`: schedules a
@@ -201,10 +241,7 @@ impl<'p> ClientLoop<'p> {
     fn fail_attempt(&mut self, job_idx: usize, fail_ms: f64, t_s: u32) {
         if self.jobs[job_idx].attempts >= self.policy.max_attempts {
             self.report.abandoned += 1;
-            if let Some(ct) = &mut self.telemetry {
-                let id = ct.abandoned;
-                ct.add(id, 1);
-            }
+            self.count(|ct| ct.abandoned, 1);
             self.close_job(job_idx);
             return;
         }
@@ -223,6 +260,20 @@ impl<'p> ClientLoop<'p> {
         }
         let offset = (retry_ms - window as f64 * WINDOW_MS).clamp(0.0, WINDOW_MS - 1e-6);
         self.retry_due[window as usize].push((offset, job_idx));
+    }
+
+    /// Trace end: attempts still queued/in flight, and jobs waiting on a
+    /// retry that never came due, are pending — never silently dropped.
+    fn finish(&mut self) {
+        self.report.attempt_outstanding = self.outstanding.len() as u64;
+        self.report.pending_at_end = self.open_jobs;
+        self.count(|ct| ct.attempt_outstanding, self.report.attempt_outstanding);
+        self.count(|ct| ct.pending_at_end, self.report.pending_at_end);
+        debug_assert_eq!(
+            self.jobs.iter().filter(|j| !j.resolved).count() as u64,
+            self.open_jobs,
+            "open-job counter tracks unresolved jobs"
+        );
     }
 }
 
@@ -255,6 +306,8 @@ impl<'m, M: Model> Fleet<'m, M> {
             self.config.seed,
             ChaosTelemetry::new(self.config.telemetry),
         );
+        // the router's per-event view of the fleet, refilled in place
+        let mut snapshots = Vec::with_capacity(n);
         let mut next_id = 0u64;
         let mut arrivals_total = 0u64;
         let mut unroutable = 0u64;
@@ -313,13 +366,10 @@ impl<'m, M: Model> Fleet<'m, M> {
                 clients.issue_attempt(job_idx, event.retry_of.is_some());
                 arrivals_total += 1;
 
-                // route with failover, exactly as Fleet::run does
+                // route down the router's preference order with failover
                 let arrival_ms = now_ms + event.offset_ms;
-                let snapshots: Vec<DeviceSnapshot> = self
-                    .devices
-                    .iter()
-                    .map(|d| Self::snapshot(d, arrival_ms))
-                    .collect();
+                snapshots.clear();
+                snapshots.extend(self.devices.iter().map(|d| Self::snapshot(d, arrival_ms)));
                 let order = self.router.order(&snapshots);
                 let mut placed = None;
                 for &i in &order {
@@ -328,34 +378,19 @@ impl<'m, M: Model> Fleet<'m, M> {
                         arrival_ms,
                         deadline_ms: arrival_ms + self.config.deadline_budget_ms,
                     };
-                    match self.devices[i].try_admit(request) {
-                        Ok(()) => {
-                            routed[i] += 1;
-                            placed = Some(i);
-                            break;
-                        }
-                        Err(_) => {
-                            rejected[i] += 1;
-                            if let Some(ft) = &mut fleet_telemetry {
-                                let id = ft.failovers[i];
-                                ft.add(id, 1);
-                            }
-                        }
+                    if self.devices[i].try_admit(request).is_ok() {
+                        routed[i] += 1;
+                        placed = Some(i);
+                        break;
+                    }
+                    rejected[i] += 1;
+                    if let Some(ft) = &mut fleet_telemetry {
+                        ft.add(ft.failovers[i], 1);
                     }
                 }
                 if let Some(ft) = &mut fleet_telemetry {
-                    let arrivals_id = ft.arrivals;
-                    ft.add(arrivals_id, 1);
-                    match placed {
-                        Some(i) => {
-                            let id = ft.routed[i];
-                            ft.add(id, 1);
-                        }
-                        None => {
-                            let id = ft.unroutable;
-                            ft.add(id, 1);
-                        }
-                    }
+                    ft.add(ft.arrivals, 1);
+                    ft.add(placed.map_or(ft.unroutable, |i| ft.routed[i]), 1);
                 }
                 match placed {
                     Some(_) => {
@@ -363,12 +398,7 @@ impl<'m, M: Model> Fleet<'m, M> {
                     }
                     None => {
                         unroutable += 1;
-                        clients.report.attempt_rejected += 1;
-                        if let Some(ct) = &mut clients.telemetry {
-                            let id = ct.attempt_rejected;
-                            ct.add(id, 1);
-                        }
-                        clients.fail_attempt(job_idx, arrival_ms, t_s);
+                        clients.reject(job_idx, arrival_ms, t_s);
                     }
                 }
                 self.router.commit(placed, n);
@@ -386,66 +416,17 @@ impl<'m, M: Model> Fleet<'m, M> {
                         rejected[i],
                         scenario.arrivals.background_w(t_s) * WINDOW_S,
                     );
-                    for completion in completions {
-                        let job_idx = clients
-                            .outstanding
-                            .remove(&completion.id)
-                            .expect("every completion belongs to an outstanding attempt");
-                        if completion.met_deadline {
-                            clients.report.succeeded += 1;
-                            clients.report.attempt_completed += 1;
-                            if let Some(ct) = &mut clients.telemetry {
-                                let id = ct.succeeded;
-                                ct.add(id, 1);
-                            }
-                            clients.close_job(job_idx);
-                        } else {
-                            clients.report.attempt_late += 1;
-                            if let Some(ct) = &mut clients.telemetry {
-                                let id = ct.attempt_late;
-                                ct.add(id, 1);
-                            }
-                            if chaos.clients.retry_on_late {
-                                clients.fail_attempt(job_idx, completion.finish_ms, t_s);
-                            } else {
-                                clients.report.succeeded_late += 1;
-                                clients.close_job(job_idx);
-                            }
-                        }
+                    for completion in &completions {
+                        clients.complete(completion, t_s);
                     }
                 } else {
-                    let dropped = device.record_dead_window(t_s, routed[i]);
-                    for request in dropped {
-                        let job_idx = clients
-                            .outstanding
-                            .remove(&request.id)
-                            .expect("every dropped request belongs to an outstanding attempt");
-                        clients.report.attempt_dropped_dead += 1;
-                        if let Some(ct) = &mut clients.telemetry {
-                            let id = ct.attempt_dropped_dead;
-                            ct.add(id, 1);
-                        }
-                        clients.fail_attempt(job_idx, window_end_ms, t_s);
+                    for request in &device.record_dead_window(t_s, routed[i]) {
+                        clients.drop_dead(request, window_end_ms, t_s);
                     }
                 }
             }
         }
-
-        // trace end: attempts still queued/in flight, and jobs waiting on a
-        // retry that never came due, are pending — never silently dropped
-        clients.report.attempt_outstanding = clients.outstanding.len() as u64;
-        clients.report.pending_at_end = clients.open_jobs;
-        if let Some(ct) = &mut clients.telemetry {
-            let id = ct.attempt_outstanding;
-            ct.add(id, clients.report.attempt_outstanding);
-            let id = ct.pending_at_end;
-            ct.add(id, clients.report.pending_at_end);
-        }
-        debug_assert_eq!(
-            clients.jobs.iter().filter(|j| !j.resolved).count() as u64,
-            clients.open_jobs,
-            "open-job counter tracks unresolved jobs"
-        );
+        clients.finish();
 
         let routing = self.router.policy().label().to_string();
         let devices = self

@@ -19,7 +19,9 @@
 //! * [`Fleet::run_chaos`](crate::Fleet::run_chaos) — replays a chaos
 //!   scenario with closed-loop clients and returns a [`ChaosReport`]
 //!   (the usual [`crate::FleetReport`] plus a [`ClientReport`] with
-//!   retry amplification and abandon rates).
+//!   retry amplification and abandon rates). It is the fleet's only
+//!   window loop: [`crate::Fleet::run`] calls it with
+//!   [`ClientPolicy::open_loop`] clients.
 //! * [`check_invariants`] — the global invariant harness: no request
 //!   silently lost (attempt and job conservation, reconciled against
 //!   telemetry counters), battery monotone between charge events, report

@@ -33,16 +33,15 @@
 //! differ only in the preference order, which keeps the comparison in
 //! `examples/serve_fleet.rs` honest: battery awareness is the only delta.
 
+use crate::chaos::{ChaosScenario, ClientPolicy};
 use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
-use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_MS, WINDOW_S};
+use crate::engine::{DeviceSim, RuntimePolicy};
 use crate::report::FleetReport;
 use crate::scenario::FleetScenario;
-use crate::scheduler::{DeadlineScheduler, Request, SchedulerConfig};
-use crate::telemetry::{DeviceTelemetry, FleetTelemetry};
+use crate::scheduler::{DeadlineScheduler, SchedulerConfig};
+use crate::telemetry::DeviceTelemetry;
 use crate::ModelBank;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, MemoryModel, PowerModel};
 use rt3_pruning::PatternSpace;
@@ -389,8 +388,10 @@ pub struct Fleet<'m, M: Model> {
     pub(crate) devices: Vec<DeviceSim<'m, M>>,
     pub(crate) router: Router,
     pub(crate) config: FleetConfig,
-    /// The trace the fleet was built for; [`Fleet::run`] plays exactly this
-    /// one, so devices can never be driven by mismatched profiles.
+    /// The trace the fleet was built for. [`Fleet::run`] plays exactly this
+    /// one, and [`Fleet::run_chaos`] asserts its chaos scenario
+    /// materialises to it, so devices can never be driven by mismatched
+    /// profiles.
     pub(crate) scenario: FleetScenario,
 }
 
@@ -499,121 +500,13 @@ impl<'m, M: Model> Fleet<'m, M> {
     }
 
     /// Plays the fleet's scenario to completion and reports per-device and
-    /// fleet aggregates.
-    pub fn run(mut self) -> FleetReport {
-        let scenario = self.scenario.clone();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut next_id = 0u64;
-        let mut arrivals_total = 0u64;
-        let mut unroutable = 0u64;
-        let n = self.devices.len();
-        let device_names: Vec<String> = scenario.devices.iter().map(|p| p.name.clone()).collect();
-        let mut fleet_telemetry = FleetTelemetry::new(self.config.telemetry, &device_names);
-
-        for t_s in 0..scenario.duration_s() {
-            let now_ms = t_s as f64 * WINDOW_MS;
-            let window_end_ms = now_ms + WINDOW_MS;
-
-            // 1. per-device battery events, death checks, level decisions
-            let mut serving = vec![false; n];
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                let profile = &scenario.devices[i];
-                serving[i] = device.begin_window(
-                    t_s,
-                    now_ms,
-                    profile.battery_cliff_at(t_s),
-                    profile.charge_w_at(t_s) * WINDOW_S,
-                    profile.thermal_cap_at(t_s),
-                );
-            }
-
-            // 2. fleet-wide arrivals, routed one by one with failover
-            let offsets = scenario.arrivals.arrivals_in_second(t_s, &mut rng);
-            arrivals_total += offsets.len() as u64;
-            let mut routed = vec![0u64; n];
-            let mut rejected = vec![0u64; n];
-            for offset in &offsets {
-                let arrival_ms = now_ms + offset;
-                let snapshots: Vec<DeviceSnapshot> = self
-                    .devices
-                    .iter()
-                    .map(|d| Self::snapshot(d, arrival_ms))
-                    .collect();
-                let order = self.router.order(&snapshots);
-                let mut placed = None;
-                for &i in &order {
-                    let request = Request {
-                        id: next_id,
-                        arrival_ms,
-                        deadline_ms: arrival_ms + self.config.deadline_budget_ms,
-                    };
-                    match self.devices[i].try_admit(request) {
-                        Ok(()) => {
-                            routed[i] += 1;
-                            placed = Some(i);
-                            break;
-                        }
-                        Err(_) => {
-                            rejected[i] += 1;
-                            if let Some(ft) = &mut fleet_telemetry {
-                                let id = ft.failovers[i];
-                                ft.add(id, 1);
-                            }
-                        }
-                    }
-                }
-                if let Some(ft) = &mut fleet_telemetry {
-                    let arrivals_id = ft.arrivals;
-                    ft.add(arrivals_id, 1);
-                    match placed {
-                        Some(i) => {
-                            let id = ft.routed[i];
-                            ft.add(id, 1);
-                        }
-                        None => {
-                            let id = ft.unroutable;
-                            ft.add(id, 1);
-                        }
-                    }
-                }
-                if placed.is_none() {
-                    unroutable += 1;
-                }
-                self.router.commit(placed, n);
-                next_id += 1;
-            }
-
-            // 3. per-device dispatch, energy and window reports
-            for (i, device) in self.devices.iter_mut().enumerate() {
-                if serving[i] {
-                    device.end_window(
-                        t_s,
-                        window_end_ms,
-                        routed[i],
-                        rejected[i],
-                        scenario.arrivals.background_w(t_s) * WINDOW_S,
-                    );
-                } else {
-                    device.record_dead_window(t_s, routed[i]);
-                }
-            }
-        }
-
-        let routing = self.router.policy().label().to_string();
-        let devices = self
-            .devices
-            .into_iter()
-            .zip(scenario.devices)
-            .map(|(device, profile)| device.into_report(profile.name, "adaptive".to_string()).0)
-            .collect();
-        FleetReport {
-            scenario: self.scenario.name,
-            routing,
-            arrivals: arrivals_total,
-            unroutable,
-            devices,
-            telemetry: fleet_telemetry.map(|ft| ft.snapshot()),
-        }
+    /// fleet aggregates. Open-loop traffic is the simplest closed loop: this
+    /// is [`Fleet::run_chaos`] with no overlays and
+    /// [`ClientPolicy::open_loop`] clients, so the fleet has one window loop.
+    pub fn run(self) -> FleetReport {
+        let chaos = ChaosScenario::new(&self.scenario.name, self.scenario.clone())
+            .with_clients(ClientPolicy::open_loop());
+        self.run_chaos(&chaos).fleet
     }
 
     /// The router's view of one device for a request arriving at

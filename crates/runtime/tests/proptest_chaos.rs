@@ -22,7 +22,9 @@ use rt3_core::{
     SurrogateEvaluator, TaskProfile,
 };
 use rt3_pruning::PatternSpace;
-use rt3_runtime::{check_invariants, ChaosReport, ChaosScenario, Fleet, RoutingPolicy};
+use rt3_runtime::{
+    check_invariants, ChaosReport, ChaosScenario, ClientPolicy, Fleet, FleetScenario, RoutingPolicy,
+};
 use rt3_transformer::{MaskSet, TransformerConfig, TransformerLm};
 use std::sync::OnceLock;
 
@@ -85,7 +87,10 @@ fn assert_invariants(chaos: &ChaosScenario, report: &ChaosReport, what: &str) {
 }
 
 /// The four named scenarios are always fuzzed, under every policy — the
-/// deterministic floor beneath the random draws below.
+/// deterministic floor beneath the random draws below. Open-loop replays
+/// of the heterogeneous-cliff trace (what `Fleet::run` plays) ride along
+/// under every routing policy: open-loop traffic is the simplest closed
+/// loop, so the same invariants hold, with no retry and no suppression.
 #[test]
 fn named_scenarios_satisfy_every_invariant_under_every_policy() {
     for name in ["retry-storm", "flash-crowd", "thermal-wave", "charge-cycle"] {
@@ -98,6 +103,52 @@ fn named_scenarios_satisfy_every_invariant_under_every_policy() {
                 report.clients.jobs > 0,
                 "{name} under {policy:?} issued no jobs"
             );
+        }
+    }
+    // the cliff trace as shipped, and with every battery at 2 J and no
+    // charger so the fleet dies and failed attempts are exercised
+    let cliff = FleetScenario::heterogeneous_cliff();
+    let mut starved = cliff.clone();
+    for device in &mut starved.devices {
+        device.battery_capacity_j = 2.0;
+        device.charge_w = 0.0;
+    }
+    for (base, starved) in [(cliff, false), (starved, true)] {
+        let open_loop =
+            ChaosScenario::new(&base.name, base.clone()).with_clients(ClientPolicy::open_loop());
+        for policy in [
+            RoutingPolicy::BatteryAware,
+            RoutingPolicy::Predictive,
+            RoutingPolicy::RoundRobin,
+            RoutingPolicy::Sticky,
+        ] {
+            let report = run_chaos(policy, &open_loop, 17);
+            let what = format!(
+                "open-loop {} (starved: {starved}) under {policy:?}",
+                base.name
+            );
+            assert_invariants(&open_loop, &report, &what);
+            let clients = &report.clients;
+            assert!(clients.jobs > 0, "{what} issued no jobs");
+            assert_eq!(clients.retries, 0, "{what} retried");
+            assert_eq!(clients.suppressed, 0, "{what} suppressed an arrival");
+            assert_eq!(
+                clients.jobs, clients.attempts,
+                "{what}: one attempt per job"
+            );
+            assert_eq!(
+                clients.attempts, report.fleet.arrivals,
+                "{what}: every attempt reaches the router"
+            );
+            let failed =
+                clients.attempt_rejected + clients.attempt_dropped_dead + clients.attempt_late;
+            assert_eq!(
+                clients.abandoned, failed,
+                "{what}: every failed attempt is abandoned"
+            );
+            if starved {
+                assert!(clients.abandoned > 0, "{what}: no attempt failed");
+            }
         }
     }
 }
