@@ -369,7 +369,11 @@ impl<'m, M: Model> Fleet<'m, M> {
                 // route down the router's preference order with failover
                 let arrival_ms = now_ms + event.offset_ms;
                 snapshots.clear();
-                snapshots.extend(self.devices.iter().map(|d| Self::snapshot(d, arrival_ms)));
+                snapshots.extend(
+                    self.devices
+                        .iter()
+                        .map(|d| self.snapshot(&d.core, arrival_ms)),
+                );
                 let order = self.router.order(&snapshots);
                 let mut placed = None;
                 for &i in &order {

@@ -9,10 +9,13 @@
 //! workers and its memory traffic to the battery — then admits and
 //! dispatches that window's arrivals. Dispatched micro-batches are also
 //! replayed as real sparse inference on the [`crate::pool`] worker pool.
+//! The battery, controller and scheduler step lives in [`DeviceCore`];
+//! `DeviceSim` adds the model bank, telemetry and report accumulators.
 
 use crate::bank::{BankStats, ModelBank};
-use crate::controller::{HysteresisConfig, RuntimeController, Telemetry};
+use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
+use crate::device::DeviceCore;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
@@ -21,7 +24,7 @@ use crate::telemetry::DeviceTelemetry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
-use rt3_hardware::{Battery, DrainRateTracker, MemoryModel, PowerModel, VfLevel};
+use rt3_hardware::{Battery, MemoryModel, PowerModel};
 use rt3_pruning::PatternSpace;
 use rt3_telemetry::{
     DecisionRecord, StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock,
@@ -228,16 +231,18 @@ impl<'m, M: Model> ServeEngine<'m, M> {
 
     /// Plays `scenario` to completion and reports the outcome.
     pub fn run(&mut self, scenario: &Scenario) -> ServeReport {
-        let mut device = DeviceSim::new(
-            self.bank.take().expect("bank is restored after each run"),
-            RuntimeController::new(self.rt3.governor.clone(), self.config.hysteresis),
-            DeadlineScheduler::new(self.config.scheduler),
+        let core = DeviceCore::new(
             Battery::new(self.config.battery_capacity_j),
+            RuntimeController::new(self.rt3.governor.clone(), self.config.hysteresis),
             self.config.policy,
+            DeadlineScheduler::new(self.config.scheduler),
             Arc::clone(&self.cost),
             self.power,
-            self.rt3.governor.levels().to_vec(),
-            self.config.deadline_budget_ms,
+            WINDOW_S,
+        );
+        let mut device = DeviceSim::new(
+            core,
+            self.bank.take().expect("bank is restored after each run"),
             self.config.real_inference,
             scenario.duration_s(),
             DeviceTelemetry::new(self.config.telemetry, Arc::new(WallClock::new())),
@@ -295,30 +300,19 @@ impl<'m, M: Model> ServeEngine<'m, M> {
     }
 }
 
-/// One simulated device stepped window-by-window: its battery, controller,
-/// scheduler and model bank, plus the serve-report accumulators.
+/// One simulated device stepped window-by-window: the shared
+/// [`DeviceCore`] plus its model bank, telemetry and serve-report
+/// accumulators.
 ///
 /// [`ServeEngine::run`] drives a single `DeviceSim` from a [`Scenario`];
 /// [`crate::Fleet`] drives several of them from a
 /// [`crate::FleetScenario`], with arrivals assigned by the router instead of
 /// taken straight from the trace.
 pub(crate) struct DeviceSim<'m, M: Model> {
+    /// Battery, controller, scheduler and energy accounting.
+    pub(crate) core: DeviceCore,
     bank: ModelBank<'m, M>,
-    controller: RuntimeController,
-    scheduler: DeadlineScheduler,
-    battery: Battery,
-    policy: RuntimePolicy,
-    cost: Arc<dyn CostModel>,
-    power: PowerModel,
-    levels: Vec<VfLevel>,
-    deadline_budget_ms: f64,
     real_inference: bool,
-    workers: usize,
-    /// EWMA observer of the battery trajectory, one observation per window;
-    /// feeds the predictive router's time-to-death score.
-    drain: DrainRateTracker,
-    active_level: Option<usize>,
-    active_base_latency_ms: f64,
     /// Whether the current window's [`DeviceSim::begin_window`] performed a
     /// counted pattern-set switch (recorded on the window report).
     last_switched: bool,
@@ -336,10 +330,6 @@ pub(crate) struct DeviceSim<'m, M: Model> {
     arrivals_total: u64,
     completed: u64,
     missed: u64,
-    switches: u64,
-    switch_time_ms: f64,
-    inference_energy_j: f64,
-    background_energy_j: f64,
     died_at_s: Option<u32>,
     dropped_dead: u64,
     checksum: f64,
@@ -347,41 +337,20 @@ pub(crate) struct DeviceSim<'m, M: Model> {
 }
 
 impl<'m, M: Model> DeviceSim<'m, M> {
-    /// Builds a device around pre-constructed components. `battery` may be
-    /// partially drained (fleet devices start at heterogeneous charge).
-    #[allow(clippy::too_many_arguments)]
+    /// Wraps `core` with its model bank and report accumulators.
     pub(crate) fn new(
+        core: DeviceCore,
         bank: ModelBank<'m, M>,
-        controller: RuntimeController,
-        scheduler: DeadlineScheduler,
-        battery: Battery,
-        policy: RuntimePolicy,
-        cost: Arc<dyn CostModel>,
-        power: PowerModel,
-        levels: Vec<VfLevel>,
-        deadline_budget_ms: f64,
         real_inference: bool,
         duration_hint_s: u32,
         telemetry: Option<DeviceTelemetry>,
     ) -> Self {
-        let workers = scheduler.workers();
-        let level_count = levels.len();
+        let level_count = core.level_count();
         let bank_stats_seen = bank.stats();
         Self {
+            core,
             bank,
-            controller,
-            scheduler,
-            battery,
-            policy,
-            cost,
-            power,
-            levels,
-            deadline_budget_ms,
             real_inference,
-            workers,
-            drain: DrainRateTracker::default(),
-            active_level: None,
-            active_base_latency_ms: 0.0,
             last_switched: false,
             telemetry,
             bank_stats_seen,
@@ -391,10 +360,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             arrivals_total: 0,
             completed: 0,
             missed: 0,
-            switches: 0,
-            switch_time_ms: 0.0,
-            inference_energy_j: 0.0,
-            background_energy_j: 0.0,
             died_at_s: None,
             dropped_dead: 0,
             checksum: 0.0,
@@ -402,87 +367,11 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         }
     }
 
-    /// Replaces the device's cost model (fleet construction hook; must be
-    /// called before the first window so cached base latencies stay
-    /// consistent).
-    pub(crate) fn set_cost_model(&mut self, cost: Arc<dyn CostModel>) {
-        debug_assert!(
-            self.active_level.is_none(),
-            "cost model must be set before the first window"
-        );
-        self.cost = cost;
-    }
-
-    /// Whether the device's battery has died at some earlier window.
-    pub(crate) fn is_dead(&self) -> bool {
-        self.died_at_s.is_some()
-    }
-
-    /// Battery state of charge in `[0, 1]`.
-    pub(crate) fn state_of_charge(&self) -> f64 {
-        self.battery.state_of_charge()
-    }
-
-    /// Governor level position in effect for the current window.
-    pub(crate) fn active_level(&self) -> Option<usize> {
-        self.active_level
-    }
-
-    /// Number of governor levels the device serves.
-    pub(crate) fn level_count(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Currently queued (admitted but unstarted) requests.
-    pub(crate) fn queue_len(&self) -> usize {
-        self.scheduler.queue_len()
-    }
-
-    /// Bound on the device's request queue.
-    pub(crate) fn queue_capacity(&self) -> usize {
-        self.scheduler.queue_capacity()
-    }
-
-    /// Latency a request admitted at `arrival_ms` is predicted to see:
-    /// the scheduler replays the queued backlog (batch-aware, through the
-    /// same cost-model closure dispatch uses) and the prediction is the
-    /// newcomer's simulated completion. The previous implementation asked
-    /// only for `earliest_free_ms()`, so a heavily-queued device looked
-    /// exactly as fast as an idle one to the fleet router's
-    /// predicted-latency term.
-    pub(crate) fn predicted_latency_ms(&self, arrival_ms: f64) -> f64 {
-        let finish = self
-            .scheduler
-            .predicted_finish_ms(arrival_ms, &self.service_estimator());
-        finish - arrival_ms
-    }
-
-    /// The batch→service-time closure admission and routing predictions
-    /// share with dispatch: the active level's cached base latency through
-    /// the cost model's amortisation curve. Captures an `Arc` clone so the
-    /// closure doesn't borrow the device (admission mutates the scheduler).
-    fn service_estimator(&self) -> impl Fn(usize) -> f64 {
-        let level_pos = self.active_level.unwrap_or(0);
-        let base = self.active_base_latency_ms;
-        let cost = Arc::clone(&self.cost);
-        move |batch| cost.service_from_base_ms(level_pos, base, batch)
-    }
-
-    /// Per-request deadline budget the device was configured with.
-    pub(crate) fn deadline_budget_ms(&self) -> f64 {
-        self.deadline_budget_ms
-    }
-
-    /// Predicted milliseconds until this device's battery dies at its
-    /// EWMA-smoothed drain rate (infinite while charging or unobserved).
-    pub(crate) fn time_to_death_ms(&self) -> f64 {
-        self.drain.time_to_death_ms(self.battery.remaining_j())
-    }
-
-    /// Battery events, death bookkeeping, level decision and pattern-set
-    /// switch for the window starting at `t_s`. Returns `false` when the
-    /// device is (now) dead; the caller must then finish the window with
-    /// [`DeviceSim::record_dead_window`] instead of admitting traffic.
+    /// [`DeviceCore::begin_window`] for the window starting at `t_s`, with
+    /// the bank supplying switch costs and lazily building the new level's
+    /// model. Returns `false` when the device is (now) dead; the caller
+    /// must then finish the window with [`DeviceSim::record_dead_window`]
+    /// instead of admitting traffic.
     pub(crate) fn begin_window(
         &mut self,
         t_s: u32,
@@ -491,143 +380,74 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         charge_j: f64,
         thermal_cap: Option<usize>,
     ) -> bool {
-        // battery events occur regardless of serving state
-        if let Some(drop) = battery_cliff {
-            let loss = drop * self.battery.capacity_j();
-            let drained = self.battery.drain(loss.min(self.battery.remaining_j()));
-            debug_assert!(drained);
-        }
-        self.battery.charge(charge_j);
-        // one drain observation per window, fed by everything since the
-        // previous boundary (inference, background, switches, cliffs,
-        // charging) — the predictive router reads the smoothed rate
-        self.drain.observe(WINDOW_S, self.battery.remaining_j());
-
+        let (bank, telemetry) = (&mut self.bank, &mut self.telemetry);
+        let start = self.core.begin_window(
+            now_ms,
+            battery_cliff,
+            charge_j,
+            thermal_cap,
+            |level_pos, level, cost| {
+                let switch = bank.switch_cost(level_pos);
+                let build_timer = telemetry
+                    .as_ref()
+                    .map(|t| (bank.stats().builds, t.clock.now_ms()));
+                let sparsity = bank.get(level_pos).sparsity; // lazy build
+                if let (Some((builds_before, begin_ms)), Some(t)) =
+                    (build_timer, telemetry.as_mut())
+                {
+                    if bank.stats().builds > builds_before {
+                        t.shard
+                            .record(t.ids.bank_build_wall_ms, t.clock.now_ms() - begin_ms);
+                    }
+                }
+                (cost.base_latency_ms(sparsity, level), switch.time_ms)
+            },
+        );
         if let Some(t) = &mut self.telemetry {
-            t.shard
-                .set(t.ids.state_of_charge, self.battery.state_of_charge());
-            t.shard.set(t.ids.drain_rate_w, self.drain.drain_rate_w());
-            t.shard.set(
-                t.ids.time_to_death_ms,
-                self.drain.time_to_death_ms(self.battery.remaining_j()),
-            );
+            t.shard.set(t.ids.state_of_charge, start.state_of_charge);
+            t.shard.set(t.ids.drain_rate_w, start.drain_rate_w);
+            t.shard.set(t.ids.time_to_death_ms, start.time_to_death_ms);
         }
-
-        if self.battery.is_empty() && self.died_at_s.is_none() {
-            self.died_at_s = Some(t_s);
-        }
-        if self.died_at_s.is_some() {
+        if !start.serving {
+            self.died_at_s.get_or_insert(t_s);
             return false;
         }
 
-        // the dwell must be read *before* the decision (a switch resets it);
-        // the other audit inputs are captured alongside for the record
-        let audit_inputs = match &self.telemetry {
-            Some(t) if t.full() => Some((
-                self.controller.ms_since_last_switch(now_ms),
-                self.drain.time_to_death_ms(self.battery.remaining_j()),
-                self.battery.state_of_charge(),
-            )),
-            _ => None,
-        };
-
-        // 1. telemetry + level decision
-        let decision = match self.policy {
-            RuntimePolicy::Adaptive => self.controller.decide(Telemetry {
-                now_ms,
-                state_of_charge: self.battery.state_of_charge(),
-                thermal_cap,
-            }),
-            RuntimePolicy::FixedLevel(pos) => {
-                // the thermal cap is hardware-mandated even for the
-                // baseline; it keeps its (dense-for-that-level) model
-                let capped = thermal_cap.map_or(pos, |cap| pos.min(cap));
-                crate::controller::LevelDecision {
-                    level_pos: capped,
-                    switched: self.active_level != Some(capped),
-                }
-            }
-        };
-        let level_pos = decision.level_pos;
-        let level = self.levels[level_pos];
-
-        // 2. pattern-set switch: charge time to the workers and traffic
-        //    energy to the battery (the very first activation is a model
-        //    load, not a run-time switch, and is not counted). Sparsity
-        //    and base latency only change on a switch, so they are cached
-        //    here rather than recomputed per window/batch.
-        let counted_switch = self.active_level.is_some() && self.active_level != Some(level_pos);
-        if self.active_level != Some(level_pos) {
-            let cost = self.bank.switch_cost(level_pos);
-            let build_timer = self
-                .telemetry
-                .as_ref()
-                .map(|t| (self.bank.stats().builds, t.clock.now_ms()));
-            let sparsity = self.bank.get(level_pos).sparsity; // lazy build
-            if let (Some((builds_before, begin_ms)), Some(t)) =
-                (build_timer, self.telemetry.as_mut())
-            {
-                if self.bank.stats().builds > builds_before {
-                    t.shard
-                        .record(t.ids.bank_build_wall_ms, t.clock.now_ms() - begin_ms);
-                }
-            }
-            self.active_base_latency_ms = self.cost.base_latency_ms(sparsity, &level);
-            if counted_switch {
-                self.switches += 1;
-                self.switch_time_ms += cost.time_ms;
-                self.scheduler.block_workers_until(now_ms + cost.time_ms);
-                let switch_energy = self.power.power_w(&level) * cost.time_ms / 1_000.0;
-                self.inference_energy_j += switch_energy;
-                if !self.battery.drain(switch_energy) {
-                    self.battery.drain(self.battery.remaining_j());
-                }
-                if let Some(t) = &mut self.telemetry {
-                    t.shard.add(t.ids.switches, 1);
-                    t.shard.record(t.ids.switch_time_ms, cost.time_ms);
-                    // device-level span: the window [now, now+cost] blocks
-                    // every queued request, and the span analyzer charges
-                    // the overlap to them
-                    t.trace_event(TraceEvent {
-                        t_ms: now_ms,
-                        request_id: 0,
-                        kind: TraceEventKind::Switch {
-                            from_level: self.active_level.unwrap_or(level_pos),
-                            to_level: level_pos,
-                            duration_ms: cost.time_ms,
-                        },
-                    });
-                }
-            }
-            self.active_level = Some(level_pos);
-        }
-        self.last_switched = counted_switch;
+        let level_pos = self.core.active_level().expect("a live window has a level");
+        self.last_switched = start.switched_from.is_some();
         if let Some(t) = &mut self.telemetry {
+            if let Some(from_level) = start.switched_from {
+                t.shard.add(t.ids.switches, 1);
+                t.shard.record(t.ids.switch_time_ms, start.switch_time_ms);
+                // device-level span: the window [now, now+cost] blocks
+                // every queued request, and the span analyzer charges the
+                // overlap to them
+                t.trace_event(TraceEvent {
+                    t_ms: now_ms,
+                    request_id: 0,
+                    kind: TraceEventKind::Switch {
+                        from_level,
+                        to_level: level_pos,
+                        duration_ms: start.switch_time_ms,
+                    },
+                });
+            }
             t.shard.set(t.ids.active_level, level_pos as f64);
-        }
-        if let Some((dwell_ms, time_to_death_ms, state_of_charge)) = audit_inputs {
-            // `switched` records the engine's *counted* switch (the first
-            // model activation is a load, not a switch), so the audited
-            // switch count reconciles exactly with the report's
-            let raw_target = match self.policy {
-                RuntimePolicy::Adaptive => {
-                    self.controller.raw_target(state_of_charge.clamp(0.0, 1.0))
-                }
-                RuntimePolicy::FixedLevel(pos) => pos,
-            };
-            let record = DecisionRecord {
-                t_ms: now_ms,
-                state_of_charge,
-                thermal_cap,
-                raw_target,
-                chosen_level: level_pos,
-                switched: counted_switch,
-                dwell_ms,
-                time_to_death_ms,
-                predicted_latency_ms: self.active_base_latency_ms,
-            };
-            if let Some(t) = &mut self.telemetry {
-                t.audit_decision(record);
+            if t.full() {
+                // `switched` records the engine's *counted* switch (the
+                // first model activation is a load, not a switch), so the
+                // audited switch count reconciles exactly with the report's
+                t.audit_decision(DecisionRecord {
+                    t_ms: now_ms,
+                    state_of_charge: start.state_of_charge,
+                    thermal_cap,
+                    raw_target: start.raw_target,
+                    chosen_level: level_pos,
+                    switched: self.last_switched,
+                    dwell_ms: start.dwell_ms,
+                    time_to_death_ms: start.time_to_death_ms,
+                    predicted_latency_ms: self.core.active_base_latency_ms(),
+                });
             }
         }
         true
@@ -642,8 +462,9 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// away (bounded queue full, or the deadline is already unmeetable).
     pub(crate) fn try_admit(&mut self, request: Request) -> Result<(), RejectReason> {
         let arrival_ms = request.arrival_ms;
-        let result = self.scheduler.submit(request, self.service_estimator());
+        let result = self.core.try_admit(request);
         if let Some(t) = &mut self.telemetry {
+            let queue_depth = self.core.scheduler().queue_len();
             match result {
                 Ok(predicted_finish_ms) => {
                     // the admission-time prediction is what the residuals
@@ -653,15 +474,14 @@ impl<'m, M: Model> DeviceSim<'m, M> {
                     // queue a second time
                     let predicted_ms = predicted_finish_ms - arrival_ms;
                     t.shard.add(t.ids.admitted, 1);
-                    t.shard
-                        .set(t.ids.queue_depth, self.scheduler.queue_len() as f64);
+                    t.shard.set(t.ids.queue_depth, queue_depth as f64);
                     t.note_prediction(request.id, predicted_ms);
                     t.trace_event(TraceEvent {
                         t_ms: request.arrival_ms,
                         request_id: request.id,
                         kind: TraceEventKind::Admit {
                             deadline_ms: request.deadline_ms,
-                            queue_depth: self.scheduler.queue_len(),
+                            queue_depth,
                             predicted_ms,
                         },
                     });
@@ -689,7 +509,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// elsewhere; open-loop callers ignore the return.
     pub(crate) fn record_dead_window(&mut self, t_s: u32, arrivals: u64) -> Vec<Request> {
         self.arrivals_total += arrivals;
-        let dropped_requests = self.scheduler.drain_queue();
+        let dropped_requests = self.core.drain_queue();
         self.dropped_dead += dropped_requests.len() as u64 + arrivals;
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_dead, 1);
@@ -716,7 +536,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         self.windows.push(WindowReport {
             t_s,
             level_pos: None,
-            state_of_charge: self.battery.state_of_charge(),
+            state_of_charge: self.core.battery().state_of_charge(),
             arrivals,
             completed: 0,
             missed: 0,
@@ -726,11 +546,12 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         dropped_requests
     }
 
-    /// Dispatches, charges energy, replays real inference and records the
-    /// window report for a live window started with
-    /// [`DeviceSim::begin_window`]. Returns this window's completions so
-    /// closed-loop callers can settle per-request outcomes (deadline met or
-    /// missed); open-loop callers ignore the return.
+    /// Dispatches (the core charges each request's energy), replays real
+    /// inference, draws the background load and records the window report
+    /// for a live window started with [`DeviceSim::begin_window`]. Returns
+    /// this window's completions so closed-loop callers can settle
+    /// per-request outcomes (deadline met or missed); open-loop callers
+    /// ignore the return.
     pub(crate) fn end_window(
         &mut self,
         t_s: u32,
@@ -740,29 +561,14 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         background_j: f64,
     ) -> Vec<Completion> {
         self.arrivals_total += arrivals;
-        let level_pos = self.active_level.expect("window began on a live device");
-        let level = self.levels[level_pos];
-        let base_latency = self.active_base_latency_ms;
+        let level_pos = self
+            .core
+            .active_level()
+            .expect("window began on a live device");
+        let completions = self.core.dispatch(window_end_ms);
 
-        // 4. dispatch everything that can start inside this window, with
-        //    batch service times charged by the shared cost model
-        let cost = &self.cost;
-        let completions = self.scheduler.dispatch(window_end_ms, level_pos, |batch| {
-            cost.service_from_base_ms(level_pos, base_latency, batch)
-        });
-
-        // 5. charge inference energy: each worker is one core of the
-        //    cluster, so a batch costs (cluster power / workers) × time
-        let core_power_w = self.power.power_w(&level) / self.workers as f64;
         let mut window_missed = 0u64;
         for completion in &completions {
-            let service_share =
-                (completion.finish_ms - completion.start_ms) / completion.batch as f64;
-            let energy = core_power_w * service_share / 1_000.0;
-            self.inference_energy_j += energy;
-            if !self.battery.drain(energy) {
-                self.battery.drain(self.battery.remaining_j());
-            }
             self.completed += 1;
             self.runs_per_level[completion.level_pos] += 1;
             self.latency_hist.record(completion.latency_ms());
@@ -827,37 +633,34 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             i += batch;
         }
 
-        // 6. replay the dispatched batches as real sparse inference; with
-        //    telemetry on, every worker times its batches and the timings
-        //    fold into the device shard after the join
+        // replay the dispatched batches as real sparse inference; with
+        // telemetry on, every worker times its batches and the timings fold
+        // into the device shard after the join
         if self.real_inference && !batch_sizes.is_empty() {
+            let workers = self.core.scheduler().workers();
             let outcome = match &mut self.telemetry {
                 Some(t) => {
                     let (pool_telemetry, shard) = t.pool_view();
                     pool::run_batches_instrumented(
                         self.bank.get(level_pos),
                         &batch_sizes,
-                        self.workers,
+                        workers,
                         &pool_telemetry,
                         shard,
                     )
                 }
-                None => pool::run_batches(self.bank.get(level_pos), &batch_sizes, self.workers),
+                None => pool::run_batches(self.bank.get(level_pos), &batch_sizes, workers),
             };
             self.checksum += outcome.checksum;
             self.real_batches += outcome.batches;
         }
 
-        // 7. background drain
-        self.background_energy_j += background_j;
-        if !self.battery.drain(background_j) {
-            self.battery.drain(self.battery.remaining_j());
-        }
+        self.core.drain_background(background_j);
 
         if let Some(t) = &mut self.telemetry {
             t.shard.add(t.ids.windows_served, 1);
             t.shard
-                .set(t.ids.queue_depth, self.scheduler.queue_len() as f64);
+                .set(t.ids.queue_depth, self.core.scheduler().queue_len() as f64);
             // fold this window's bank activity (hits from pool lookups,
             // builds/evictions from switches) into the counters
             let stats = self.bank.stats();
@@ -880,7 +683,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         self.windows.push(WindowReport {
             t_s,
             level_pos: Some(level_pos),
-            state_of_charge: self.battery.state_of_charge(),
+            state_of_charge: self.core.battery().state_of_charge(),
             arrivals,
             completed: completions.len() as u64,
             missed: window_missed,
@@ -908,7 +711,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     ) -> (ServeReport, ModelBank<'m, M>) {
         // requests still queued when the trace ends count as misses, but are
         // reported separately from admission rejections
-        let leftover_requests = self.scheduler.drain_queue();
+        let leftover_requests = self.core.drain_queue();
         let leftover = leftover_requests.len() as u64;
         let telemetry = self.telemetry.as_mut().map(|t| {
             t.shard.add(t.ids.dropped_trace_end, leftover);
@@ -928,12 +731,13 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             }
             t.snapshot()
         });
+        let core = self.core;
         let rejected =
-            self.scheduler.rejected_queue_full() + self.scheduler.rejected_certain_miss();
+            core.scheduler().rejected_queue_full() + core.scheduler().rejected_certain_miss();
         let report = ServeReport {
             scenario,
             policy,
-            cost_model: self.cost.label().to_string(),
+            cost_model: core.cost_model().label().to_string(),
             windows: self.windows,
             arrivals: self.arrivals_total,
             completed: self.completed,
@@ -942,12 +746,12 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             dropped_dead_battery: self.dropped_dead,
             dropped_at_trace_end: leftover,
             latency_hist: self.latency_hist,
-            switches: self.switches,
-            switch_time_ms: self.switch_time_ms,
-            inference_energy_j: self.inference_energy_j,
-            background_energy_j: self.background_energy_j,
+            switches: core.switches,
+            switch_time_ms: core.switch_time_ms,
+            inference_energy_j: core.inference_energy_j,
+            background_energy_j: core.background_energy_j,
             runs_per_level: self.runs_per_level,
-            final_state_of_charge: self.battery.state_of_charge(),
+            final_state_of_charge: core.battery().state_of_charge(),
             died_at_s: self.died_at_s,
             inference_checksum: self.checksum,
             real_batches: self.real_batches,
@@ -1001,16 +805,18 @@ mod tests {
             },
             config.cost,
         ));
-        let mut device = DeviceSim::new(
-            bank,
-            RuntimeController::new(rt3.governor.clone(), config.hysteresis),
-            DeadlineScheduler::new(config.scheduler),
+        let core = DeviceCore::new(
             Battery::new(config.battery_capacity_j),
+            RuntimeController::new(rt3.governor.clone(), config.hysteresis),
             RuntimePolicy::Adaptive,
+            DeadlineScheduler::new(config.scheduler),
             cost,
             PowerModel::cortex_a7(),
-            levels,
-            config.deadline_budget_ms,
+            WINDOW_S,
+        );
+        let mut device = DeviceSim::new(
+            core,
+            bank,
             false,
             10,
             DeviceTelemetry::new(TelemetryConfig::counters(), Arc::new(WallClock::new())),
@@ -1028,7 +834,7 @@ mod tests {
                 .expect("gauge is registered and set every window");
             assert_eq!(
                 gauge,
-                device.time_to_death_ms(),
+                device.core.time_to_death_ms(),
                 "window {t_s}: exported gauge must match the tracker"
             );
             if t_s == 0 {

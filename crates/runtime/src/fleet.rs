@@ -36,7 +36,8 @@
 use crate::chaos::{ChaosScenario, ClientPolicy};
 use crate::controller::{HysteresisConfig, RuntimeController};
 use crate::cost::{Analytic, CostConfig, CostModel, LatencyModel};
-use crate::engine::{DeviceSim, RuntimePolicy};
+use crate::device::DeviceCore;
+use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_S};
 use crate::report::FleetReport;
 use crate::scenario::FleetScenario;
 use crate::scheduler::{DeadlineScheduler, SchedulerConfig};
@@ -432,7 +433,7 @@ impl<'m, M: Model> Fleet<'m, M> {
             },
             config.cost,
         ));
-        let levels = rt3.governor.levels().to_vec();
+        let level_count = rt3.governor.levels().len();
         let duration_s = scenario.duration_s();
         // one wall clock shared by every device's kernel/build timings
         let clock: Arc<dyn Clock> = Arc::new(WallClock::new());
@@ -446,7 +447,7 @@ impl<'m, M: Model> Fleet<'m, M> {
                     space,
                     &best.actions,
                     MemoryModel::odroid_xu3(),
-                    levels.len(),
+                    level_count,
                 );
                 let mut battery = Battery::new(profile.battery_capacity_j);
                 let deficit = profile.battery_capacity_j * (1.0 - profile.initial_soc);
@@ -454,16 +455,18 @@ impl<'m, M: Model> Fleet<'m, M> {
                     let drained = battery.drain(deficit);
                     debug_assert!(drained, "initial_soc in (0, 1] leaves a drainable deficit");
                 }
-                DeviceSim::new(
-                    bank,
-                    RuntimeController::new(rt3.governor.clone(), config.hysteresis),
-                    DeadlineScheduler::new(config.scheduler),
+                let core = DeviceCore::new(
                     battery,
+                    RuntimeController::new(rt3.governor.clone(), config.hysteresis),
                     RuntimePolicy::Adaptive,
+                    DeadlineScheduler::new(config.scheduler),
                     Arc::clone(&cost),
                     PowerModel::cortex_a7(),
-                    levels.clone(),
-                    config.deadline_budget_ms,
+                    WINDOW_S,
+                );
+                DeviceSim::new(
+                    core,
+                    bank,
                     config.real_inference,
                     duration_s,
                     DeviceTelemetry::new(config.telemetry, Arc::clone(&clock)),
@@ -484,7 +487,7 @@ impl<'m, M: Model> Fleet<'m, M> {
     #[must_use]
     pub fn with_cost_model(mut self, cost: Arc<dyn CostModel>) -> Self {
         for device in &mut self.devices {
-            device.set_cost_model(Arc::clone(&cost));
+            device.core.set_cost_model(Arc::clone(&cost));
         }
         self
     }
@@ -511,16 +514,16 @@ impl<'m, M: Model> Fleet<'m, M> {
 
     /// The router's view of one device for a request arriving at
     /// `arrival_ms`.
-    pub(crate) fn snapshot(device: &DeviceSim<'m, M>, arrival_ms: f64) -> DeviceSnapshot {
+    pub(crate) fn snapshot(&self, device: &DeviceCore, arrival_ms: f64) -> DeviceSnapshot {
         DeviceSnapshot {
             alive: !device.is_dead(),
-            state_of_charge: device.state_of_charge(),
+            state_of_charge: device.battery().state_of_charge(),
             level_pos: device.active_level().unwrap_or(0),
             levels: device.level_count(),
-            queue_len: device.queue_len(),
-            queue_capacity: device.queue_capacity(),
+            queue_len: device.scheduler().queue_len(),
+            queue_capacity: device.scheduler().queue_capacity(),
             predicted_latency_ms: device.predicted_latency_ms(arrival_ms),
-            deadline_budget_ms: device.deadline_budget_ms(),
+            deadline_budget_ms: self.config.deadline_budget_ms,
             time_to_death_ms: device.time_to_death_ms(),
         }
     }

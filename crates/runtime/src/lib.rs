@@ -23,6 +23,10 @@
 //!   dispatched micro-batch as actual pattern-pruned sparse matmuls.
 //! * [`Scenario`] — trace-driven workloads (constant drain, bursty traffic,
 //!   cliff discharge, charge-while-serving, thermal cap, diurnal day curve).
+//! * [`DeviceCore`] — the bank-free device state machine (battery, drain
+//!   tracker, controller, scheduler, energy accounting) stepped one governor
+//!   window at a time by the engine, the fleet and the `rt3-server` socket
+//!   front-end.
 //! * [`ServeEngine`] — the event loop tying it together, producing a
 //!   [`ServeReport`] with p50/p95/p99 latency, deadline-miss rate, energy
 //!   and switch counts.
@@ -75,6 +79,7 @@ mod bank;
 pub mod chaos;
 mod controller;
 pub mod cost;
+mod device;
 mod engine;
 mod fleet;
 pub mod pool;
@@ -92,6 +97,7 @@ pub use cost::{
     calibrate, AmortisationCurve, Analytic, Calibrated, CalibrationOptions, CalibrationReport,
     CostConfig, CostModel, LatencyModel, SwitchCalibration,
 };
+pub use device::{DeviceCore, WindowStart};
 pub use engine::{RuntimePolicy, ServeConfig, ServeEngine};
 pub use fleet::{
     DeviceSnapshot, Fleet, FleetConfig, Router, RouterConfig, RoutingPolicy, RoutingWeights,

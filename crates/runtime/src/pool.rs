@@ -55,48 +55,7 @@ pub fn time_batches(model: &BankedModel, batches: &[usize], workers: usize) -> (
 /// kernel is bit-identical to the serial one, so the checksum stays
 /// independent of the worker count either way.
 pub fn run_batches(model: &BankedModel, batches: &[usize], workers: usize) -> PoolOutcome {
-    if batches.is_empty() {
-        return PoolOutcome {
-            batches: 0,
-            checksum: 0.0,
-        };
-    }
-    let intra = intra_workers(workers, batches.len());
-    if intra > 1 {
-        let mut scratch = InferScratch::new();
-        let checksum = batches
-            .iter()
-            .map(|&b| model.infer_par_with(b, &mut scratch, intra))
-            .sum();
-        return PoolOutcome {
-            batches: batches.len() as u64,
-            checksum,
-        };
-    }
-    let workers = workers.clamp(1, batches.len());
-    let chunk_len = batches.len().div_ceil(workers);
-    let checksum = thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = InferScratch::new();
-                    chunk
-                        .iter()
-                        .map(|&b| model.infer_with(b, &mut scratch))
-                        .collect::<Vec<f64>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("inference worker panicked"))
-            .sum::<f64>()
-    });
-    PoolOutcome {
-        batches: batches.len() as u64,
-        checksum,
-    }
+    fan_out(model, batches, workers, None)
 }
 
 /// Decides the intra-matmul fan-out of a scarce-batch window: the
@@ -147,67 +106,85 @@ pub fn run_batches_instrumented(
     telemetry: &PoolTelemetry<'_>,
     shard: &mut MetricShard,
 ) -> PoolOutcome {
+    fan_out(model, batches, workers, Some((telemetry, shard)))
+}
+
+/// The one body behind [`run_batches`] and [`run_batches_instrumented`]:
+/// intra-matmul fan-out for scarce batches, contiguous chunks otherwise,
+/// with every batch timed when `timing` is given. Per-batch checksums are
+/// summed once, in batch order, so the checksum is the same with or
+/// without timing and for any worker count.
+fn fan_out(
+    model: &BankedModel,
+    batches: &[usize],
+    workers: usize,
+    timing: Option<(&PoolTelemetry<'_>, &mut MetricShard)>,
+) -> PoolOutcome {
     if batches.is_empty() {
         return PoolOutcome {
             batches: 0,
             checksum: 0.0,
         };
     }
+    let clock = timing.as_ref().map(|(telemetry, _)| telemetry.clock);
+    let mut checksums = Vec::with_capacity(batches.len());
+    let mut timings_ms = Vec::new();
     let intra = intra_workers(workers, batches.len());
     if intra > 1 {
-        // scarce-batch window: same intra-matmul strategy as
-        // `run_batches`, timed batch by batch on the caller's thread
         let mut scratch = InferScratch::new();
-        let mut checksum = 0.0;
         for &b in batches {
-            let begin_ms = telemetry.clock.now_ms();
-            checksum += model.infer_par_with(b, &mut scratch, intra);
-            let wall_ms = telemetry.clock.now_ms() - begin_ms;
-            shard.add(telemetry.batches, 1);
+            checksums.push(timed(clock, &mut timings_ms, || {
+                model.infer_par_with(b, &mut scratch, intra)
+            }));
+        }
+    } else {
+        let chunk_len = batches.len().div_ceil(workers.clamp(1, batches.len()));
+        thread::scope(|scope| {
+            let handles: Vec<_> = batches
+                .chunks(chunk_len)
+                .map(|chunk| {
+                    scope.spawn(move || {
+                        let mut scratch = InferScratch::new();
+                        let mut timings_ms = Vec::new();
+                        let checksums: Vec<f64> = chunk
+                            .iter()
+                            .map(|&b| {
+                                timed(clock, &mut timings_ms, || model.infer_with(b, &mut scratch))
+                            })
+                            .collect();
+                        (checksums, timings_ms)
+                    })
+                })
+                .collect();
+            for handle in handles {
+                let (chunk_sums, chunk_ms) = handle.join().expect("inference worker panicked");
+                checksums.extend(chunk_sums);
+                timings_ms.extend(chunk_ms);
+            }
+        });
+    }
+    if let Some((telemetry, shard)) = timing {
+        shard.add(telemetry.batches, timings_ms.len() as u64);
+        for wall_ms in timings_ms {
             shard.record(telemetry.batch_wall_ms, wall_ms);
         }
-        return PoolOutcome {
-            batches: batches.len() as u64,
-            checksum,
-        };
     }
-    let workers = workers.clamp(1, batches.len());
-    let chunk_len = batches.len().div_ceil(workers);
-    let checksum = thread::scope(|scope| {
-        let handles: Vec<_> = batches
-            .chunks(chunk_len)
-            .map(|chunk| {
-                scope.spawn(move || {
-                    let mut scratch = InferScratch::new();
-                    let mut timings_ms = Vec::with_capacity(chunk.len());
-                    let checksums = chunk
-                        .iter()
-                        .map(|&b| {
-                            let begin_ms = telemetry.clock.now_ms();
-                            let checksum = model.infer_with(b, &mut scratch);
-                            timings_ms.push(telemetry.clock.now_ms() - begin_ms);
-                            checksum
-                        })
-                        .collect::<Vec<f64>>();
-                    (checksums, timings_ms)
-                })
-            })
-            .collect();
-        let mut checksum = 0.0;
-        for handle in handles {
-            let (checksums, timings_ms) = handle.join().expect("inference worker panicked");
-            checksum += checksums.into_iter().sum::<f64>();
-            shard.add(telemetry.batches, timings_ms.len() as u64);
-            for wall_ms in timings_ms {
-                shard.record(telemetry.batch_wall_ms, wall_ms);
-            }
-        }
-        checksum
-    });
     PoolOutcome {
         batches: batches.len() as u64,
-        checksum,
+        checksum: checksums.into_iter().sum(),
     }
+}
+
+/// Runs `infer`, recording its wall time into `timings_ms` when a clock is
+/// given.
+fn timed(clock: Option<&dyn Clock>, timings_ms: &mut Vec<f64>, infer: impl FnOnce() -> f64) -> f64 {
+    let Some(clock) = clock else {
+        return infer();
+    };
+    let begin_ms = clock.now_ms();
+    let checksum = infer();
+    timings_ms.push(clock.now_ms() - begin_ms);
+    checksum
 }
 
 #[cfg(test)]

@@ -7,21 +7,63 @@
 //! 3. the scheduler's deadline accounting charges exactly the
 //!    `PerformancePredictor` latency for a single-request batch, and the
 //!    documented amortisation for micro-batches.
+//! 4. a [`DeviceCore`] whose battery died stays dead, whatever a charger
+//!    puts back afterwards.
 
 use proptest::prelude::*;
-use rt3_hardware::{DvfsGovernor, MemoryModel, ModelWorkload, PerformancePredictor, VfLevel};
+use rt3_hardware::{
+    Battery, DvfsGovernor, MemoryModel, ModelWorkload, PerformancePredictor, PowerModel, VfLevel,
+};
 use rt3_pruning::{
     block_prune_model, generate_pattern_space, BlockPruningConfig, PatternSpaceConfig,
 };
 use rt3_runtime::{
-    Analytic, CostConfig, CostModel, DeadlineScheduler, HysteresisConfig, LatencyModel, ModelBank,
-    Request, RuntimeController, SchedulerConfig, Telemetry,
+    Analytic, CostConfig, CostModel, DeadlineScheduler, DeviceCore, HysteresisConfig, LatencyModel,
+    ModelBank, Request, RuntimeController, RuntimePolicy, SchedulerConfig, Telemetry,
 };
 use rt3_sparse::SparseFormat;
 use rt3_transformer::{TransformerConfig, TransformerLm};
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Death is sticky: once a window finds the battery empty, no later
+    /// window serves, even after a charger refills the battery — the
+    /// goldens count every later arrival as a dead-battery drop.
+    #[test]
+    fn a_dead_device_stays_dead_after_a_recharge(
+        charges in proptest::collection::vec(0.0f64..5.0, 1..8),
+    ) {
+        let cost = Arc::new(Analytic::new(
+            LatencyModel {
+                predictor: PerformancePredictor::cortex_a7(),
+                workload_config: TransformerConfig::paper_transformer(512),
+                seq_len: 24,
+            },
+            CostConfig::default(),
+        ));
+        let mut core = DeviceCore::new(
+            Battery::new(1.0),
+            RuntimeController::new(DvfsGovernor::paper_default(), HysteresisConfig::default()),
+            RuntimePolicy::Adaptive,
+            DeadlineScheduler::new(SchedulerConfig::default()),
+            cost,
+            PowerModel::cortex_a7(),
+            1.0,
+        );
+        let level_cost = |_: usize, _: &VfLevel, _: &dyn CostModel| (10.0, 1.0);
+        prop_assert!(core.begin_window(0.0, None, 0.0, None, level_cost).serving);
+        core.drain_background(2.0);
+        let start = core.begin_window(1_000.0, None, 0.0, None, level_cost);
+        prop_assert!(!start.serving && core.is_dead());
+        prop_assert_eq!(start.time_to_death_ms, 0.0);
+        for (i, charge_j) in charges.into_iter().enumerate() {
+            let now_ms = (i + 2) as f64 * 1_000.0;
+            let start = core.begin_window(now_ms, None, charge_j, None, level_cost);
+            prop_assert!(!start.serving && core.is_dead());
+        }
+    }
 
     /// For any battery trajectory (arbitrary up/down jumps, arbitrary sample
     /// spacing), two controller switches are never closer than the dwell

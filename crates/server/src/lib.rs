@@ -2,9 +2,9 @@
 //!
 //! The real-socket serving front-end of the RT3 reproduction: a
 //! dependency-free `std::net::TcpListener` server speaking a small
-//! length-prefixed binary protocol, feeding the runtime's
-//! [`rt3_runtime::DeadlineScheduler`] through the same admission path the
-//! simulated device uses. Backpressure is mapped to explicit
+//! length-prefixed binary protocol, stepping the runtime's
+//! [`rt3_runtime::DeviceCore`] — the device state machine the simulated
+//! engine and fleet use. Backpressure is mapped to explicit
 //! [`protocol::Status`] response codes (clients see queue-full /
 //! certain-miss rejects, never a silent TCP stall), battery death drains
 //! gracefully (in-flight responses flushed, queued requests dropped with a
@@ -14,7 +14,7 @@
 //!
 //! * [`protocol`] — the wire format: frames, opcodes, status codes.
 //! * [`Server`] — the thread-per-connection server around one
-//!   mutex-guarded core (scheduler + governor + battery).
+//!   mutex-guarded core (the device core, pending requests, metrics).
 //! * [`ServeClient`] — a blocking client for the protocol.
 //! * [`loadgen`] — the closed-loop multi-connection load generator:
 //!   wall-clock latency histograms plus a timeout-retry-abandon

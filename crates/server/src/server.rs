@@ -1,19 +1,18 @@
 //! The serving front-end: a thread-per-connection TCP acceptor feeding the
-//! runtime's [`DeadlineScheduler`] through the same admission path the
-//! simulated device uses, with wall-clock time as the scheduler's time
-//! axis.
+//! runtime's [`DeviceCore`] — the same device state machine the simulated
+//! engine and fleet step — with wall-clock time as the core's time axis.
 //!
 //! Three kinds of thread cooperate around one mutex-guarded [`Core`]:
 //!
 //! * **connection threads** (one per accepted socket) parse frames,
 //!   run admission under the lock, and write rejects synchronously;
 //! * the **dispatch thread** ticks every few milliseconds: at window
-//!   boundaries it runs the battery governor (level switches, battery
-//!   drain, death detection), then dispatches due micro-batches and
-//!   flushes each completion's response once the wall clock reaches its
-//!   simulated finish time — so the latency a client measures on the wire
-//!   *is* the cost model's queue + service prediction, plus real network
-//!   and scheduling jitter;
+//!   boundaries it steps the device core (background drain, drain-rate
+//!   observation, death detection, level decision and switch), then
+//!   dispatches due micro-batches and flushes each completion's response
+//!   once the wall clock reaches its simulated finish time — so the
+//!   latency a client measures on the wire *is* the cost model's queue +
+//!   service prediction, plus real network and scheduling jitter;
 //! * the **acceptor** hands sockets to connection threads, or refuses
 //!   them with a terminal frame once the battery has died.
 //!
@@ -27,8 +26,8 @@ use crate::protocol::{
 };
 use rt3_hardware::{Battery, DvfsGovernor, PowerModel};
 use rt3_runtime::{
-    Analytic, CostConfig, CostModel, DeadlineScheduler, HysteresisConfig, LatencyModel,
-    RejectReason, Request, RuntimeController, SchedulerConfig, Telemetry,
+    Analytic, CostConfig, CostModel, DeadlineScheduler, DeviceCore, HysteresisConfig, LatencyModel,
+    RejectReason, Request, RuntimeController, RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
     CounterId, GaugeId, HistogramId, MetricRegistry, MetricShard, ObsPlane, ResidualStats,
@@ -45,7 +44,8 @@ use std::time::{Duration, Instant};
 /// What the server serves: the cost model, the governor and the battery —
 /// the same physical story the simulated engine plays, minus the model
 /// bank (the server paces responses by the cost model; it does not run
-/// tensor math on the request path).
+/// tensor math on the request path). In place of the bank, the device
+/// core prices each level from `level_base_ms` and `switch_time_ms`.
 pub struct ServerSpec {
     /// Prediction surface for admission and service times.
     pub cost: Arc<dyn CostModel>,
@@ -267,6 +267,8 @@ struct MetricIds {
     switch_time_ms: HistogramId,
     active_level: GaugeId,
     state_of_charge: GaugeId,
+    drain_rate_w: GaugeId,
+    time_to_death_ms: GaugeId,
     queue_depth: GaugeId,
 }
 
@@ -295,6 +297,8 @@ impl MetricIds {
             switch_time_ms: registry.histogram("switch_time_ms"),
             active_level: registry.gauge("active_level"),
             state_of_charge: registry.gauge("state_of_charge"),
+            drain_rate_w: registry.gauge("drain_rate_w"),
+            time_to_death_ms: registry.gauge("time_to_death_ms"),
             queue_depth: registry.gauge("queue_depth"),
         }
     }
@@ -319,11 +323,9 @@ enum Lifecycle {
 /// Everything the threads share under one lock.
 struct Core {
     lifecycle: Lifecycle,
-    scheduler: DeadlineScheduler,
-    controller: RuntimeController,
-    battery: Battery,
-    active_level: usize,
-    active_base_ms: f64,
+    /// Battery, drain tracker, controller and scheduler: the runtime's
+    /// device state machine, stepped on the wall clock.
+    device: DeviceCore,
     next_window_ms: f64,
     next_internal_id: u64,
     pending: HashMap<u64, PendingEntry>,
@@ -344,6 +346,27 @@ struct Core {
     subscribers: Vec<Weak<ConnWriter>>,
 }
 
+impl Core {
+    /// A response that carries no service (a reject or a drop) at the
+    /// active level.
+    fn unserved(&self, id: u64, status: Status) -> InferResponse {
+        InferResponse {
+            id,
+            status,
+            level_pos: self.device.active_level().unwrap_or(0) as u32,
+            queue_ms: 0.0,
+            infer_ms: 0.0,
+        }
+    }
+
+    /// Writes one response frame, counting a failed write.
+    fn send(&mut self, conn: &ConnWriter, response: &InferResponse) {
+        if !conn.send(&response.encode()) {
+            self.shard.add(self.ids.responses_failed, 1);
+        }
+    }
+}
+
 struct Shared {
     core: Mutex<Core>,
     start: Instant,
@@ -358,16 +381,6 @@ impl Shared {
 
     fn now_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1_000.0
-    }
-
-    /// The admission/service closure for the active level — the same
-    /// cost-model path `DeviceSim::try_admit` and the engine's dispatch
-    /// drive.
-    fn service_closure(&self, core: &Core) -> impl Fn(usize) -> f64 {
-        let cost = Arc::clone(&self.spec.cost);
-        let level_pos = core.active_level;
-        let base = core.active_base_ms;
-        move |batch| cost.service_from_base_ms(level_pos, base, batch)
     }
 
     /// Runs governor windows up to `now_ms`: level decisions, switch costs,
@@ -387,42 +400,34 @@ impl Shared {
         }
     }
 
-    /// The governor work of one live window boundary.
+    /// One live window boundary: the closing window's background drain,
+    /// then the device core's next window (drain observation, death check,
+    /// level decision, switch).
     fn window_step(&self, core: &mut Core, boundary: f64) {
         let window_s = self.config.window_ms / 1_000.0;
-        let background_j = self.config.background_w * window_s;
-        if !core.battery.drain(background_j) {
-            let remaining = core.battery.remaining_j();
-            core.battery.drain(remaining);
-        }
-        if core.battery.is_empty() {
+        core.device
+            .drain_background(self.config.background_w * window_s);
+        let spec = &self.spec;
+        let start = core
+            .device
+            .begin_window(boundary, None, 0.0, None, |pos, _, _| {
+                (spec.level_base_ms[pos], spec.switch_time_ms)
+            });
+        let ids = &core.ids;
+        core.shard.set(ids.drain_rate_w, start.drain_rate_w);
+        core.shard.set(ids.time_to_death_ms, start.time_to_death_ms);
+        if !start.serving {
             self.enter_drain(core);
             return;
         }
-        let decision = core.controller.decide(Telemetry {
-            now_ms: boundary,
-            state_of_charge: core.battery.state_of_charge(),
-            thermal_cap: None,
-        });
-        if decision.level_pos != core.active_level {
-            core.active_level = decision.level_pos;
-            core.active_base_ms = self.spec.level_base_ms[decision.level_pos];
-            let switch_ms = self.spec.switch_time_ms;
-            core.scheduler.block_workers_until(boundary + switch_ms);
-            let level = self.spec.governor.levels()[decision.level_pos];
-            let energy = self.spec.power.power_w(&level) * switch_ms / 1_000.0;
-            if !core.battery.drain(energy) {
-                let remaining = core.battery.remaining_j();
-                core.battery.drain(remaining);
-            }
-            let ids = &core.ids;
+        if start.switched_from.is_some() {
             core.shard.add(ids.switches, 1);
-            core.shard.record(ids.switch_time_ms, switch_ms);
+            core.shard.record(ids.switch_time_ms, start.switch_time_ms);
         }
-        let ids = &core.ids;
-        core.shard.set(ids.active_level, core.active_level as f64);
+        let level_pos = core.device.active_level().unwrap_or(0);
+        core.shard.set(ids.active_level, level_pos as f64);
         core.shard
-            .set(ids.state_of_charge, core.battery.state_of_charge());
+            .set(ids.state_of_charge, core.device.battery().state_of_charge());
     }
 
     /// Scrapes one window boundary into the obs plane, evaluates the alert
@@ -454,48 +459,25 @@ impl Shared {
     /// metrics queries.
     fn enter_drain(&self, core: &mut Core) {
         core.lifecycle = Lifecycle::Draining;
-        let dropped = core.scheduler.drain_queue();
-        let level_pos = core.active_level as u32;
-        let counter = core.ids.dropped_dead;
-        for request in dropped {
-            self.resolve(
-                core,
-                request.id,
-                InferResponse {
-                    id: 0, // patched from the pending entry
-                    status: Status::DroppedDead,
-                    level_pos,
-                    queue_ms: 0.0,
-                    infer_ms: 0.0,
-                },
-                counter,
-            );
-        }
-        let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
-        for Reverse(flight) in due {
-            self.flush_completion(core, flight);
-        }
+        self.resolve_all(core, Status::DroppedDead, core.ids.dropped_dead);
         let ids = &core.ids;
         core.shard.set(ids.queue_depth, 0.0);
         core.shard.set(ids.state_of_charge, 0.0);
     }
 
-    /// Writes a non-completion resolution (reject/drop) for a pending
-    /// request and counts it.
-    fn resolve(
-        &self,
-        core: &mut Core,
-        internal_id: u64,
-        mut response: InferResponse,
-        counter: CounterId,
-    ) {
-        if let Some(entry) = core.pending.remove(&internal_id) {
-            response.id = entry.client_id;
-            core.shard.add(counter, 1);
-            if !entry.conn.send(&response.encode()) {
-                let ids = &core.ids;
-                core.shard.add(ids.responses_failed, 1);
+    /// Drops every queued request with `status` (each counted under
+    /// `counter`) and flushes every in-flight response immediately.
+    fn resolve_all(&self, core: &mut Core, status: Status, counter: CounterId) {
+        for request in core.device.drain_queue() {
+            if let Some(entry) = core.pending.remove(&request.id) {
+                core.shard.add(counter, 1);
+                let response = core.unserved(entry.client_id, status);
+                core.send(&entry.conn, &response);
             }
+        }
+        let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
+        for Reverse(flight) in due {
+            self.flush_completion(core, flight);
         }
     }
 
@@ -514,9 +496,7 @@ impl Shared {
         core.shard.record(ids.latency_ms, flight.latency_ms);
         core.shard.record(ids.queue_wait_ms, flight.queue_ms);
         core.shard.record(ids.infer_ms, flight.infer_ms);
-        if !entry.conn.send(&response.encode()) {
-            core.shard.add(ids.responses_failed, 1);
-        }
+        core.send(&entry.conn, &response);
     }
 
     /// One dispatch tick: advance windows, dispatch due batches, flush
@@ -531,13 +511,8 @@ impl Shared {
         }
         self.advance_windows(core, now_ms);
         if core.lifecycle == Lifecycle::Serving {
-            let service = self.service_closure(core);
-            let level_pos = core.active_level;
-            let completions = core.scheduler.dispatch(now_ms, level_pos, &service);
+            let completions = core.device.dispatch(now_ms);
             if !completions.is_empty() {
-                let level = self.spec.governor.levels()[level_pos];
-                let core_power_w =
-                    self.spec.power.power_w(&level) / self.config.scheduler.workers as f64;
                 let mut i = 0;
                 while i < completions.len() {
                     let batch = completions[i].batch;
@@ -545,13 +520,6 @@ impl Shared {
                     i += batch;
                 }
                 for completion in completions {
-                    let service_share =
-                        (completion.finish_ms - completion.start_ms) / completion.batch as f64;
-                    let energy = core_power_w * service_share / 1_000.0;
-                    if !core.battery.drain(energy) {
-                        let remaining = core.battery.remaining_j();
-                        core.battery.drain(remaining);
-                    }
                     core.inflight.push(Reverse(InFlight {
                         finish_ms: completion.finish_ms,
                         internal_id: completion.id,
@@ -572,8 +540,8 @@ impl Shared {
                         met_deadline: completion.met_deadline,
                     }));
                 }
-                core.shard
-                    .set(core.ids.queue_depth, core.scheduler.queue_len() as f64);
+                let queue_len = core.device.scheduler().queue_len();
+                core.shard.set(core.ids.queue_depth, queue_len as f64);
             }
         }
         while let Some(Reverse(head)) = core.inflight.peek() {
@@ -634,22 +602,23 @@ impl Server {
         let mut registry = MetricRegistry::new();
         let ids = MetricIds::register(&mut registry);
         let shard = registry.shard();
-        let mut controller = RuntimeController::new(spec.governor.clone(), spec.hysteresis);
-        let battery = Battery::new(spec.battery_capacity_j);
+        let mut device = DeviceCore::new(
+            Battery::new(spec.battery_capacity_j),
+            RuntimeController::new(spec.governor.clone(), spec.hysteresis),
+            RuntimePolicy::Adaptive,
+            DeadlineScheduler::new(config.scheduler),
+            Arc::clone(&spec.cost),
+            spec.power,
+            config.window_ms / 1_000.0,
+        );
         // the boot decision activates the initial level (a load, not a
         // counted switch — same convention as the engine)
-        let boot = controller.decide(Telemetry {
-            now_ms: 0.0,
-            state_of_charge: battery.state_of_charge(),
-            thermal_cap: None,
+        device.begin_window(0.0, None, 0.0, None, |pos, _, _| {
+            (spec.level_base_ms[pos], spec.switch_time_ms)
         });
         let core = Core {
             lifecycle: Lifecycle::Serving,
-            scheduler: DeadlineScheduler::new(config.scheduler),
-            controller,
-            battery,
-            active_level: boot.level_pos,
-            active_base_ms: spec.level_base_ms[boot.level_pos],
+            device,
             next_window_ms: config.window_ms,
             next_internal_id: 0,
             pending: HashMap::new(),
@@ -731,27 +700,8 @@ impl Server {
                 return;
             }
             core.lifecycle = Lifecycle::Stopped;
-            let dropped = core.scheduler.drain_queue();
-            let level_pos = core.active_level as u32;
-            let counter = core.ids.dropped_shutdown;
-            for request in dropped {
-                self.shared.resolve(
-                    core,
-                    request.id,
-                    InferResponse {
-                        id: 0,
-                        status: Status::DroppedShutdown,
-                        level_pos,
-                        queue_ms: 0.0,
-                        infer_ms: 0.0,
-                    },
-                    counter,
-                );
-            }
-            let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
-            for Reverse(flight) in due {
-                self.shared.flush_completion(core, flight);
-            }
+            self.shared
+                .resolve_all(core, Status::DroppedShutdown, core.ids.dropped_shutdown);
             for conn in core.connections.drain(..) {
                 if let Some(conn) = conn.upgrade() {
                     conn.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
@@ -939,33 +889,17 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
         // which is the client's answer; this request was never admitted,
         // so it counts as no drop, and the write below fails and is counted
         // like any other failed response.
-        let response = InferResponse {
-            id: client_id,
-            status: Status::DroppedShutdown,
-            level_pos: core.active_level as u32,
-            queue_ms: 0.0,
-            infer_ms: 0.0,
-        };
-        if !writer.send(&response.encode()) {
-            core.shard.add(core.ids.responses_failed, 1);
-        }
+        let response = core.unserved(client_id, Status::DroppedShutdown);
+        core.send(writer, &response);
         return;
     }
     // catch up on window boundaries the dispatch thread hasn't ticked yet,
     // so admission always sees the current level and battery state
     shared.advance_windows(core, now_ms);
     if core.lifecycle == Lifecycle::Draining {
-        let response = InferResponse {
-            id: client_id,
-            status: Status::Draining,
-            level_pos: core.active_level as u32,
-            queue_ms: 0.0,
-            infer_ms: 0.0,
-        };
         core.shard.add(core.ids.draining_refused, 1);
-        if !writer.send(&response.encode()) {
-            core.shard.add(core.ids.responses_failed, 1);
-        }
+        let response = core.unserved(client_id, Status::Draining);
+        core.send(writer, &response);
         return;
     }
     let internal_id = core.next_internal_id;
@@ -975,9 +909,7 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
         arrival_ms: now_ms,
         deadline_ms: now_ms + budget_ms,
     };
-    let service = shared.service_closure(core);
-    let result = core.scheduler.submit(request, service);
-    match result {
+    match core.device.try_admit(request) {
         Ok(_) => {
             core.pending.insert(
                 internal_id,
@@ -989,7 +921,7 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
             let ids = &core.ids;
             core.shard.add(ids.admitted, 1);
             core.shard
-                .set(ids.queue_depth, core.scheduler.queue_len() as f64);
+                .set(ids.queue_depth, core.device.scheduler().queue_len() as f64);
         }
         Err(reason) => {
             let (status, counter) = match reason {
@@ -1001,16 +933,8 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
                 }
             };
             core.shard.add(counter, 1);
-            let response = InferResponse {
-                id: client_id,
-                status,
-                level_pos: core.active_level as u32,
-                queue_ms: 0.0,
-                infer_ms: 0.0,
-            };
-            if !writer.send(&response.encode()) {
-                core.shard.add(core.ids.responses_failed, 1);
-            }
+            let response = core.unserved(client_id, status);
+            core.send(writer, &response);
         }
     }
 }

@@ -218,6 +218,43 @@ fn battery_death_drains_gracefully() {
     );
 }
 
+/// The socket path feeds the standard obs plane's `battery_cliff` rule: the
+/// runtime's device core tracks the drain rate and the server exports
+/// `time_to_death_ms` at every window boundary. With no traffic the drain
+/// is a fixed 0.2 J per boundary, so the alert's firing window does not
+/// depend on wall-clock timing.
+#[test]
+fn battery_cliff_fires_before_the_socket_server_dies() {
+    let spec = ServerSpec {
+        battery_capacity_j: 4.0,
+        ..healthy_spec()
+    };
+    let config = ServerConfig {
+        window_ms: 50.0,
+        background_w: 4.0, // 0.2 J per window: dead after 20 windows
+        ..ServerConfig::default()
+    };
+    let server = Server::spawn("127.0.0.1:0", spec, config).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !server.is_draining() {
+        assert!(Instant::now() < deadline, "the battery dies within 5s");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let obs = server
+        .metrics_snapshot()
+        .obs
+        .expect("the server exports its obs plane");
+    assert!(
+        obs.series("time_to_death_ms")
+            .is_some_and(|points| !points.is_empty()),
+        "the time-to-death series has points"
+    );
+    assert!(
+        obs.first_firing("battery_cliff").is_some(),
+        "battery_cliff fires before the battery dies"
+    );
+}
+
 /// Shuts a server down after `load_for` of closed-loop load from 8
 /// connections, and checks that every request resolved on both sides of
 /// the wire.
