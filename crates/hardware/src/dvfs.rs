@@ -169,11 +169,6 @@ impl DvfsGovernor {
         }
     }
 
-    /// Convenience: the level used at a given battery state of charge.
-    pub fn level_for_battery(&self, state_of_charge: f64) -> VfLevel {
-        self.level_for_mode(self.mode_for_battery(state_of_charge))
-    }
-
     /// Index (into [`DvfsGovernor::levels`]) of the level used in `mode`.
     pub fn level_position(&self, mode: DvfsMode) -> usize {
         match mode {

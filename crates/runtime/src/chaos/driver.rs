@@ -382,7 +382,7 @@ impl<'m, M: Model> Fleet<'m, M> {
                         arrival_ms,
                         deadline_ms: arrival_ms + self.config.deadline_budget_ms,
                     };
-                    if self.devices[i].try_admit(request).is_ok() {
+                    if self.devices[i].core.try_admit(request).is_ok() {
                         routed[i] += 1;
                         placed = Some(i);
                         break;

@@ -2,12 +2,20 @@
 //! governor window at a time: [`crate::ServeEngine`] and [`crate::Fleet`]
 //! wrap a [`DeviceCore`] with a model bank and report accumulators, and the
 //! `rt3-server` socket front-end steps one on the wall clock.
+//!
+//! The core also records the device metric schema (DESIGN.md §9) as it
+//! steps, so every serving path exports the same numbers for the same
+//! device state.
 
 use crate::controller::{RuntimeController, Telemetry};
 use crate::cost::CostModel;
 use crate::engine::RuntimePolicy;
 use crate::scheduler::{Completion, DeadlineScheduler, RejectReason, Request};
+use crate::telemetry::DeviceTelemetry;
 use rt3_hardware::{Battery, DrainRateTracker, PowerModel, VfLevel};
+use rt3_telemetry::{
+    Clock, DecisionRecord, MetricsSnapshot, TelemetryConfig, TraceEvent, TraceEventKind,
+};
 use std::sync::Arc;
 
 /// What [`DeviceCore::begin_window`] observed and did. The battery readings
@@ -62,12 +70,21 @@ pub struct DeviceCore {
     pub(crate) inference_energy_j: f64,
     /// Background energy drawn, joules.
     pub(crate) background_energy_j: f64,
+    /// Telemetry recording state (`None` when the level is `Off`, which
+    /// keeps the hot path identical to an uninstrumented build).
+    pub(crate) telemetry: Option<DeviceTelemetry>,
 }
 
 impl DeviceCore {
     /// Builds a device around pre-constructed components. `battery` may be
     /// partially drained (fleet devices start at heterogeneous charge);
-    /// `window_s` is the spacing of [`DeviceCore::begin_window`] calls.
+    /// `window_s` is the spacing of [`DeviceCore::begin_window`] calls. The
+    /// device records at `telemetry`'s level, timing with `clock`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `telemetry` is invalid.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         battery: Battery,
         controller: RuntimeController,
@@ -76,6 +93,8 @@ impl DeviceCore {
         cost: Arc<dyn CostModel>,
         power: PowerModel,
         window_s: f64,
+        telemetry: TelemetryConfig,
+        clock: Arc<dyn Clock>,
     ) -> Self {
         Self {
             battery,
@@ -93,6 +112,7 @@ impl DeviceCore {
             switch_time_ms: 0.0,
             inference_energy_j: 0.0,
             background_energy_j: 0.0,
+            telemetry: DeviceTelemetry::new(telemetry, clock, window_s * 1_000.0),
         }
     }
 
@@ -140,6 +160,11 @@ impl DeviceCore {
         self.controller.governor().levels().len()
     }
 
+    /// The device metrics recorded so far (`None` when telemetry is off).
+    pub fn metrics(&self) -> Option<MetricsSnapshot> {
+        self.telemetry.as_ref().map(DeviceTelemetry::metrics)
+    }
+
     /// Predicted milliseconds until the battery dies at its EWMA-smoothed
     /// drain rate (infinite while charging or unobserved).
     pub fn time_to_death_ms(&self) -> f64 {
@@ -177,6 +202,9 @@ impl DeviceCore {
     /// and the pattern-set switch for the window starting at `now_ms`. On a
     /// level change `level_cost(pos, level, cost)` returns the new level's
     /// base latency and the switch's worker time, both in milliseconds.
+    /// Records the battery gauges (read before any switch energy is drawn),
+    /// the switch, the active level, the decision audit and the window
+    /// count.
     pub fn begin_window(
         &mut self,
         now_ms: f64,
@@ -215,6 +243,14 @@ impl DeviceCore {
             switched_from: None,
             switch_time_ms: 0.0,
         };
+        if let Some(t) = &mut self.telemetry {
+            t.shard.set(t.ids.state_of_charge, start.state_of_charge);
+            t.shard.set(t.ids.drain_rate_w, start.drain_rate_w);
+            t.shard.set(t.ids.time_to_death_ms, start.time_to_death_ms);
+            if self.dead {
+                t.shard.add(t.ids.windows_dead, 1);
+            }
+        }
         if self.dead {
             return start;
         }
@@ -253,22 +289,98 @@ impl DeviceCore {
             }
             self.active_level = Some(level_pos);
         }
+        if let Some(t) = &mut self.telemetry {
+            if let Some(from_level) = start.switched_from {
+                t.shard.add(t.ids.switches, 1);
+                t.shard.record(t.ids.switch_time_ms, start.switch_time_ms);
+                // device-level span: the window [now, now+cost] blocks
+                // every queued request, and the span analyzer charges the
+                // overlap to them
+                t.trace_event(TraceEvent {
+                    t_ms: now_ms,
+                    request_id: 0,
+                    kind: TraceEventKind::Switch {
+                        from_level,
+                        to_level: level_pos,
+                        duration_ms: start.switch_time_ms,
+                    },
+                });
+            }
+            t.shard.set(t.ids.active_level, level_pos as f64);
+            if t.full() {
+                // `switched` records the *counted* switch (the first model
+                // activation is a load, not a switch), so the audited
+                // switch count reconciles exactly with the report's
+                t.audit_decision(DecisionRecord {
+                    t_ms: now_ms,
+                    state_of_charge,
+                    thermal_cap,
+                    raw_target: start.raw_target,
+                    chosen_level: level_pos,
+                    switched: start.switched_from.is_some(),
+                    dwell_ms: start.dwell_ms,
+                    time_to_death_ms: start.time_to_death_ms,
+                    predicted_latency_ms: self.active_base_latency_ms,
+                });
+            }
+            t.shard.add(t.ids.windows_served, 1);
+        }
         start
     }
 
-    /// Admission control at the active level; returns the predicted finish.
+    /// Admission control at the active level; returns the predicted finish
+    /// and records the admission or the rejection.
     ///
     /// # Errors
     ///
     /// Returns the scheduler's [`RejectReason`] when the request is turned
     /// away.
     pub fn try_admit(&mut self, request: Request) -> Result<f64, RejectReason> {
-        self.scheduler.submit(request, self.service_estimator())
+        let result = self.scheduler.submit(request, self.service_estimator());
+        if let Some(t) = &mut self.telemetry {
+            match result {
+                Ok(predicted_finish_ms) => {
+                    // the admission-time prediction is what the residuals
+                    // compare the actual completion latency against — the
+                    // certain-miss check already replayed the backlog, so
+                    // the audit reuses its answer instead of simulating the
+                    // queue a second time
+                    let predicted_ms = predicted_finish_ms - request.arrival_ms;
+                    let queue_depth = self.scheduler.queue_len();
+                    t.shard.add(t.ids.admitted, 1);
+                    t.shard.set(t.ids.queue_depth, queue_depth as f64);
+                    t.note_prediction(request.id, predicted_ms);
+                    t.trace_event(TraceEvent {
+                        t_ms: request.arrival_ms,
+                        request_id: request.id,
+                        kind: TraceEventKind::Admit {
+                            deadline_ms: request.deadline_ms,
+                            queue_depth,
+                            predicted_ms,
+                        },
+                    });
+                }
+                Err(reason) => {
+                    let (counter, label) = match reason {
+                        RejectReason::QueueFull => (t.ids.rejected_queue_full, "queue-full"),
+                        RejectReason::CertainMiss => (t.ids.rejected_certain_miss, "certain-miss"),
+                    };
+                    t.shard.add(counter, 1);
+                    t.trace_event(TraceEvent {
+                        t_ms: request.arrival_ms,
+                        request_id: request.id,
+                        kind: TraceEventKind::Reject { reason: label },
+                    });
+                }
+            }
+        }
+        result
     }
 
     /// Dispatches every batch that can start before `until_ms` and draws
     /// each request's energy: each worker is one core of the cluster, so a
     /// request costs (cluster power / workers) × its share of the batch.
+    /// Records each completion, each batch and the queue depth left behind.
     ///
     /// # Panics
     ///
@@ -289,6 +401,61 @@ impl DeviceCore {
             self.inference_energy_j += energy;
             self.draw(energy);
         }
+        if let Some(t) = &mut self.telemetry {
+            for completion in &completions {
+                t.shard.add(t.ids.completed, 1);
+                t.shard.record(t.ids.latency_ms, completion.latency_ms());
+                t.shard.record(
+                    t.ids.queue_wait_ms,
+                    completion.start_ms - completion.arrival_ms,
+                );
+                t.shard
+                    .record(t.ids.infer_ms, completion.finish_ms - completion.start_ms);
+                if !completion.met_deadline {
+                    t.shard.add(t.ids.deadline_missed, 1);
+                }
+                if t.full() {
+                    let predicted_ms =
+                        t.settle_prediction(completion.id, Some(completion.latency_ms()));
+                    t.trace_event(TraceEvent {
+                        t_ms: completion.finish_ms,
+                        request_id: completion.id,
+                        kind: TraceEventKind::Complete {
+                            arrival_ms: completion.arrival_ms,
+                            start_ms: completion.start_ms,
+                            finish_ms: completion.finish_ms,
+                            batch: completion.batch,
+                            level_pos: completion.level_pos,
+                            met_deadline: completion.met_deadline,
+                            predicted_ms,
+                        },
+                    });
+                }
+            }
+            // the scheduler pushes a batch's completions consecutively and
+            // stamps each with the batch size, so stepping by that size
+            // recovers the batches even when several start at the same
+            // instant on different workers
+            let mut i = 0;
+            while i < completions.len() {
+                let batch = completions[i].batch;
+                t.shard.record(t.ids.batch_size, batch as f64);
+                // one Infer span per dispatched batch (stamped with the
+                // batch's first request) bounds trace volume
+                t.trace_event(TraceEvent {
+                    t_ms: completions[i].start_ms,
+                    request_id: completions[i].id,
+                    kind: TraceEventKind::Infer {
+                        start_ms: completions[i].start_ms,
+                        batch,
+                        level_pos,
+                    },
+                });
+                i += batch;
+            }
+            t.shard
+                .set(t.ids.queue_depth, self.scheduler.queue_len() as f64);
+        }
         completions
     }
 
@@ -298,8 +465,132 @@ impl DeviceCore {
         self.draw(energy_j);
     }
 
-    /// Drops every queued request and hands them back.
+    /// Drops every queued request and hands them back, recording nothing:
+    /// the caller accounts for them (the socket server's shutdown).
     pub fn drain_queue(&mut self) -> Vec<Request> {
         self.scheduler.drain_queue()
+    }
+
+    /// Drops every queued request as lost at `t_ms` and hands them back,
+    /// recording each drop: to the dead battery once the device has died
+    /// (the queue depth then reads 0), otherwise to the end of the trace
+    /// (a live device's queue is lost only when its trace ends, and the
+    /// depth keeps its last reading).
+    pub fn drop_queue(&mut self, t_ms: f64) -> Vec<Request> {
+        let dropped = self.scheduler.drain_queue();
+        if let Some(t) = &mut self.telemetry {
+            let (counter, reason) = if self.dead {
+                t.shard.set(t.ids.queue_depth, 0.0);
+                (t.ids.dropped_dead, "dead-battery")
+            } else {
+                (t.ids.dropped_trace_end, "trace-end")
+            };
+            t.shard.add(counter, dropped.len() as u64);
+            for request in &dropped {
+                t.settle_prediction(request.id, None);
+                t.trace_event(TraceEvent {
+                    t_ms,
+                    request_id: request.id,
+                    kind: TraceEventKind::Drop { reason },
+                });
+            }
+        }
+        dropped
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::HysteresisConfig;
+    use crate::cost::{Analytic, CostConfig, LatencyModel};
+    use crate::scheduler::SchedulerConfig;
+    use rt3_hardware::{DvfsGovernor, PerformancePredictor};
+    use rt3_telemetry::WallClock;
+    use rt3_transformer::TransformerConfig;
+
+    /// After every `begin_window` the exported battery gauges must carry
+    /// the window's readings: `state_of_charge` and `drain_rate_w` as
+    /// [`WindowStart`] reports them (taken before any switch energy is
+    /// drawn), and `time_to_death_ms` as the [`DrainRateTracker`] returns
+    /// it — the router and the dashboards must agree on when a device
+    /// dies, and the simulator and the socket server, which both step this
+    /// core, on what the battery read.
+    #[test]
+    fn time_to_death_gauge_tracks_the_drain_rate_tracker() {
+        let cost = Arc::new(Analytic::new(
+            LatencyModel {
+                predictor: PerformancePredictor::cortex_a7(),
+                workload_config: TransformerConfig::paper_transformer(512),
+                seq_len: 24,
+            },
+            CostConfig::default(),
+        ));
+        let mut core = DeviceCore::new(
+            Battery::new(10.0),
+            RuntimeController::new(DvfsGovernor::paper_default(), HysteresisConfig::default()),
+            RuntimePolicy::Adaptive,
+            DeadlineScheduler::new(SchedulerConfig::default()),
+            cost,
+            PowerModel::cortex_a7(),
+            1.0,
+            TelemetryConfig::counters(),
+            Arc::new(WallClock::new()),
+        );
+        // a 50 ms switch draws energy the gauges must not see
+        let level_cost = |_: usize, _: &VfLevel, _: &dyn CostModel| (10.0, 50.0);
+
+        let mut switched_windows = 0;
+        for t_s in 0..8u32 {
+            let start = core.begin_window(t_s as f64 * 1_000.0, None, 0.0, None, level_cost);
+            let metrics = core.metrics().expect("telemetry is on at Counters");
+            let gauge = |name: &str| {
+                metrics
+                    .gauge(name)
+                    .expect("gauge is registered and set every window")
+            };
+            assert_eq!(
+                gauge("state_of_charge"),
+                start.state_of_charge,
+                "window {t_s}"
+            );
+            assert_eq!(gauge("drain_rate_w"), start.drain_rate_w, "window {t_s}");
+            let time_to_death = gauge("time_to_death_ms");
+            assert_eq!(time_to_death, start.time_to_death_ms, "window {t_s}");
+            if start.switched_from.is_some() {
+                switched_windows += 1;
+                assert!(
+                    core.battery().state_of_charge() < start.state_of_charge,
+                    "window {t_s}: the switch draws energy after the reading"
+                );
+            } else {
+                assert_eq!(
+                    time_to_death,
+                    core.time_to_death_ms(),
+                    "window {t_s}: exported gauge must match the tracker"
+                );
+            }
+            if t_s == 0 {
+                // no drain observed yet: the tracker reports an infinite
+                // horizon and the gauge must carry it through unchanged
+                assert!(time_to_death.is_infinite());
+            } else if start.serving {
+                assert!(
+                    time_to_death.is_finite() && time_to_death > 0.0,
+                    "window {t_s}: background drain must bound the horizon"
+                );
+            }
+            // background load only: 1.5 W walks the battery down through
+            // both governor thresholds and then empties it
+            core.drain_background(1.5);
+        }
+        assert!(core.is_dead(), "the battery empties within the run");
+        assert!(
+            switched_windows >= 1,
+            "the run crosses a governor threshold"
+        );
+        let metrics = core.metrics().expect("telemetry is on at Counters");
+        assert_eq!(metrics.counter("switches"), Some(switched_windows));
+        assert_eq!(metrics.gauge("state_of_charge"), Some(0.0));
     }
 }

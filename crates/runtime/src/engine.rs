@@ -9,8 +9,9 @@
 //! workers and its memory traffic to the battery — then admits and
 //! dispatches that window's arrivals. Dispatched micro-batches are also
 //! replayed as real sparse inference on the [`crate::pool`] worker pool.
-//! The battery, controller and scheduler step lives in [`DeviceCore`];
-//! `DeviceSim` adds the model bank, telemetry and report accumulators.
+//! The battery, controller and scheduler step lives in [`DeviceCore`],
+//! which also records the device metrics; `DeviceSim` adds the model bank,
+//! its telemetry and the report accumulators.
 
 use crate::bank::{BankStats, ModelBank};
 use crate::controller::{HysteresisConfig, RuntimeController};
@@ -19,16 +20,13 @@ use crate::device::DeviceCore;
 use crate::pool;
 use crate::report::{ServeReport, WindowReport};
 use crate::scenario::Scenario;
-use crate::scheduler::{Completion, DeadlineScheduler, RejectReason, Request, SchedulerConfig};
-use crate::telemetry::DeviceTelemetry;
+use crate::scheduler::{Completion, DeadlineScheduler, Request, SchedulerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, MemoryModel, PowerModel};
 use rt3_pruning::PatternSpace;
-use rt3_telemetry::{
-    DecisionRecord, StreamingHistogram, TelemetryConfig, TraceEvent, TraceEventKind, WallClock,
-};
+use rt3_telemetry::{StreamingHistogram, TelemetryConfig, WallClock};
 use rt3_transformer::Model;
 use std::sync::Arc;
 
@@ -220,15 +218,6 @@ impl<'m, M: Model> ServeEngine<'m, M> {
         self.cost = cost;
     }
 
-    /// Single-request service time at a governor level position, using the
-    /// *achieved* sparsity of the banked variant.
-    pub fn level_latency_ms(&mut self, level_pos: usize) -> f64 {
-        let bank = self.bank.as_mut().expect("bank is restored after each run");
-        let sparsity = bank.get(level_pos).sparsity;
-        let level = self.rt3.governor.levels()[level_pos];
-        self.cost.base_latency_ms(sparsity, &level)
-    }
-
     /// Plays `scenario` to completion and reports the outcome.
     pub fn run(&mut self, scenario: &Scenario) -> ServeReport {
         let core = DeviceCore::new(
@@ -239,13 +228,14 @@ impl<'m, M: Model> ServeEngine<'m, M> {
             Arc::clone(&self.cost),
             self.power,
             WINDOW_S,
+            self.config.telemetry,
+            Arc::new(WallClock::new()),
         );
         let mut device = DeviceSim::new(
             core,
             self.bank.take().expect("bank is restored after each run"),
             self.config.real_inference,
             scenario.duration_s(),
-            DeviceTelemetry::new(self.config.telemetry, Arc::new(WallClock::new())),
         );
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut next_id = 0u64;
@@ -277,7 +267,7 @@ impl<'m, M: Model> ServeEngine<'m, M> {
                     deadline_ms: arrival_ms + self.config.deadline_budget_ms,
                 };
                 next_id += 1;
-                if device.try_admit(request).is_err() {
+                if device.core.try_admit(request).is_err() {
                     rejected_window += 1;
                 }
             }
@@ -301,8 +291,8 @@ impl<'m, M: Model> ServeEngine<'m, M> {
 }
 
 /// One simulated device stepped window-by-window: the shared
-/// [`DeviceCore`] plus its model bank, telemetry and serve-report
-/// accumulators.
+/// [`DeviceCore`] plus its model bank, the bank and pool telemetry, and the
+/// serve-report accumulators.
 ///
 /// [`ServeEngine::run`] drives a single `DeviceSim` from a [`Scenario`];
 /// [`crate::Fleet`] drives several of them from a
@@ -316,9 +306,6 @@ pub(crate) struct DeviceSim<'m, M: Model> {
     /// Whether the current window's [`DeviceSim::begin_window`] performed a
     /// counted pattern-set switch (recorded on the window report).
     last_switched: bool,
-    /// Telemetry recording state (`None` when the level is `Off`, which
-    /// keeps the hot path identical to an uninstrumented build).
-    telemetry: Option<DeviceTelemetry>,
     /// Bank statistics already folded into the telemetry counters; the
     /// per-window delta against [`ModelBank::stats`] is what gets recorded
     /// (the bank may arrive pre-warmed from an earlier run).
@@ -343,7 +330,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         bank: ModelBank<'m, M>,
         real_inference: bool,
         duration_hint_s: u32,
-        telemetry: Option<DeviceTelemetry>,
     ) -> Self {
         let level_count = core.level_count();
         let bank_stats_seen = bank.stats();
@@ -352,7 +338,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             bank,
             real_inference,
             last_switched: false,
-            telemetry,
             bank_stats_seen,
             windows: Vec::with_capacity(duration_hint_s as usize),
             latency_hist: StreamingHistogram::new(),
@@ -380,7 +365,9 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         charge_j: f64,
         thermal_cap: Option<usize>,
     ) -> bool {
-        let (bank, telemetry) = (&mut self.bank, &mut self.telemetry);
+        let bank = &mut self.bank;
+        let clock = self.core.telemetry.as_ref().map(|t| Arc::clone(&t.clock));
+        let mut build_wall_ms = None;
         let start = self.core.begin_window(
             now_ms,
             battery_cliff,
@@ -388,119 +375,25 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             thermal_cap,
             |level_pos, level, cost| {
                 let switch = bank.switch_cost(level_pos);
-                let build_timer = telemetry
-                    .as_ref()
-                    .map(|t| (bank.stats().builds, t.clock.now_ms()));
+                let build_timer = clock.as_ref().map(|c| (bank.stats().builds, c.now_ms()));
                 let sparsity = bank.get(level_pos).sparsity; // lazy build
-                if let (Some((builds_before, begin_ms)), Some(t)) =
-                    (build_timer, telemetry.as_mut())
-                {
+                if let (Some((builds_before, begin_ms)), Some(c)) = (build_timer, &clock) {
                     if bank.stats().builds > builds_before {
-                        t.shard
-                            .record(t.ids.bank_build_wall_ms, t.clock.now_ms() - begin_ms);
+                        build_wall_ms = Some(c.now_ms() - begin_ms);
                     }
                 }
                 (cost.base_latency_ms(sparsity, level), switch.time_ms)
             },
         );
-        if let Some(t) = &mut self.telemetry {
-            t.shard.set(t.ids.state_of_charge, start.state_of_charge);
-            t.shard.set(t.ids.drain_rate_w, start.drain_rate_w);
-            t.shard.set(t.ids.time_to_death_ms, start.time_to_death_ms);
+        if let (Some(ms), Some(t)) = (build_wall_ms, &mut self.core.telemetry) {
+            t.shard.record(t.ids.bank_build_wall_ms, ms);
         }
         if !start.serving {
             self.died_at_s.get_or_insert(t_s);
             return false;
         }
-
-        let level_pos = self.core.active_level().expect("a live window has a level");
         self.last_switched = start.switched_from.is_some();
-        if let Some(t) = &mut self.telemetry {
-            if let Some(from_level) = start.switched_from {
-                t.shard.add(t.ids.switches, 1);
-                t.shard.record(t.ids.switch_time_ms, start.switch_time_ms);
-                // device-level span: the window [now, now+cost] blocks
-                // every queued request, and the span analyzer charges the
-                // overlap to them
-                t.trace_event(TraceEvent {
-                    t_ms: now_ms,
-                    request_id: 0,
-                    kind: TraceEventKind::Switch {
-                        from_level,
-                        to_level: level_pos,
-                        duration_ms: start.switch_time_ms,
-                    },
-                });
-            }
-            t.shard.set(t.ids.active_level, level_pos as f64);
-            if t.full() {
-                // `switched` records the engine's *counted* switch (the
-                // first model activation is a load, not a switch), so the
-                // audited switch count reconciles exactly with the report's
-                t.audit_decision(DecisionRecord {
-                    t_ms: now_ms,
-                    state_of_charge: start.state_of_charge,
-                    thermal_cap,
-                    raw_target: start.raw_target,
-                    chosen_level: level_pos,
-                    switched: self.last_switched,
-                    dwell_ms: start.dwell_ms,
-                    time_to_death_ms: start.time_to_death_ms,
-                    predicted_latency_ms: self.core.active_base_latency_ms(),
-                });
-            }
-        }
         true
-    }
-
-    /// Admission control for one routed/arriving request, using the active
-    /// level's base latency as the service estimate.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduler's [`RejectReason`] when the request is turned
-    /// away (bounded queue full, or the deadline is already unmeetable).
-    pub(crate) fn try_admit(&mut self, request: Request) -> Result<(), RejectReason> {
-        let arrival_ms = request.arrival_ms;
-        let result = self.core.try_admit(request);
-        if let Some(t) = &mut self.telemetry {
-            let queue_depth = self.core.scheduler().queue_len();
-            match result {
-                Ok(predicted_finish_ms) => {
-                    // the admission-time prediction is what the residuals
-                    // compare the actual completion latency against — the
-                    // certain-miss check already replayed the backlog, so
-                    // the audit reuses its answer instead of simulating the
-                    // queue a second time
-                    let predicted_ms = predicted_finish_ms - arrival_ms;
-                    t.shard.add(t.ids.admitted, 1);
-                    t.shard.set(t.ids.queue_depth, queue_depth as f64);
-                    t.note_prediction(request.id, predicted_ms);
-                    t.trace_event(TraceEvent {
-                        t_ms: request.arrival_ms,
-                        request_id: request.id,
-                        kind: TraceEventKind::Admit {
-                            deadline_ms: request.deadline_ms,
-                            queue_depth,
-                            predicted_ms,
-                        },
-                    });
-                }
-                Err(reason) => {
-                    let (counter, label) = match reason {
-                        RejectReason::QueueFull => (t.ids.rejected_queue_full, "queue-full"),
-                        RejectReason::CertainMiss => (t.ids.rejected_certain_miss, "certain-miss"),
-                    };
-                    t.shard.add(counter, 1);
-                    t.trace_event(TraceEvent {
-                        t_ms: request.arrival_ms,
-                        request_id: request.id,
-                        kind: TraceEventKind::Reject { reason: label },
-                    });
-                }
-            }
-        }
-        result.map(|_| ())
     }
 
     /// Finishes a window on a dead device: queued and incoming requests are
@@ -509,26 +402,12 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     /// elsewhere; open-loop callers ignore the return.
     pub(crate) fn record_dead_window(&mut self, t_s: u32, arrivals: u64) -> Vec<Request> {
         self.arrivals_total += arrivals;
-        let dropped_requests = self.core.drain_queue();
+        let dropped_requests = self.core.drop_queue(t_s as f64 * WINDOW_MS);
         self.dropped_dead += dropped_requests.len() as u64 + arrivals;
-        if let Some(t) = &mut self.telemetry {
-            t.shard.add(t.ids.windows_dead, 1);
-            // the count includes this window's arrivals, which never became
-            // requests (no ids) and therefore leave no individual trace
-            t.shard
-                .add(t.ids.dropped_dead, dropped_requests.len() as u64 + arrivals);
-            t.shard.set(t.ids.queue_depth, 0.0);
-            let now_ms = t_s as f64 * WINDOW_MS;
-            for request in &dropped_requests {
-                t.settle_prediction(request.id, None);
-                t.trace_event(TraceEvent {
-                    t_ms: now_ms,
-                    request_id: request.id,
-                    kind: TraceEventKind::Drop {
-                        reason: "dead-battery",
-                    },
-                });
-            }
+        if let Some(t) = &mut self.core.telemetry {
+            // this window's arrivals never became requests (no ids), so
+            // they leave no individual trace
+            t.shard.add(t.ids.dropped_dead, arrivals);
             // dead windows still scrape: the cliff alert's view of the
             // battery gauges must continue through death
             t.observe_window(t_s, (t_s + 1) as f64 * WINDOW_MS);
@@ -575,62 +454,16 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             if !completion.met_deadline {
                 window_missed += 1;
             }
-            if let Some(t) = &mut self.telemetry {
-                t.shard.add(t.ids.completed, 1);
-                t.shard.record(t.ids.latency_ms, completion.latency_ms());
-                t.shard.record(
-                    t.ids.queue_wait_ms,
-                    completion.start_ms - completion.arrival_ms,
-                );
-                t.shard
-                    .record(t.ids.infer_ms, completion.finish_ms - completion.start_ms);
-                if !completion.met_deadline {
-                    t.shard.add(t.ids.deadline_missed, 1);
-                }
-                if t.full() {
-                    let predicted_ms =
-                        t.settle_prediction(completion.id, Some(completion.latency_ms()));
-                    t.trace_event(TraceEvent {
-                        t_ms: completion.finish_ms,
-                        request_id: completion.id,
-                        kind: TraceEventKind::Complete {
-                            arrival_ms: completion.arrival_ms,
-                            start_ms: completion.start_ms,
-                            finish_ms: completion.finish_ms,
-                            batch: completion.batch,
-                            level_pos: completion.level_pos,
-                            met_deadline: completion.met_deadline,
-                            predicted_ms,
-                        },
-                    });
-                }
-            }
         }
         self.missed += window_missed;
         // one pool batch per dispatched micro-batch: the scheduler pushes
-        // a batch's completions consecutively and stamps each with the
-        // batch size, so stepping by that size recovers the batches even
-        // when several start at the same instant on different workers
+        // a batch's completions consecutively, each stamped with the batch
+        // size
         let mut batch_sizes: Vec<usize> = Vec::new();
         let mut i = 0;
         while i < completions.len() {
-            let batch = completions[i].batch;
-            if let Some(t) = &mut self.telemetry {
-                t.shard.record(t.ids.batch_size, batch as f64);
-                // one Infer span per dispatched batch (stamped with the
-                // batch's first request) bounds trace volume
-                t.trace_event(TraceEvent {
-                    t_ms: completions[i].start_ms,
-                    request_id: completions[i].id,
-                    kind: TraceEventKind::Infer {
-                        start_ms: completions[i].start_ms,
-                        batch,
-                        level_pos,
-                    },
-                });
-            }
-            batch_sizes.push(batch);
-            i += batch;
+            batch_sizes.push(completions[i].batch);
+            i += completions[i].batch;
         }
 
         // replay the dispatched batches as real sparse inference; with
@@ -638,7 +471,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         // into the device shard after the join
         if self.real_inference && !batch_sizes.is_empty() {
             let workers = self.core.scheduler().workers();
-            let outcome = match &mut self.telemetry {
+            let outcome = match &mut self.core.telemetry {
                 Some(t) => {
                     let (pool_telemetry, shard) = t.pool_view();
                     pool::run_batches_instrumented(
@@ -657,10 +490,7 @@ impl<'m, M: Model> DeviceSim<'m, M> {
 
         self.core.drain_background(background_j);
 
-        if let Some(t) = &mut self.telemetry {
-            t.shard.add(t.ids.windows_served, 1);
-            t.shard
-                .set(t.ids.queue_depth, self.core.scheduler().queue_len() as f64);
+        if let Some(t) = &mut self.core.telemetry {
             // fold this window's bank activity (hits from pool lookups,
             // builds/evictions from switches) into the counters
             let stats = self.bank.stats();
@@ -693,14 +523,6 @@ impl<'m, M: Model> DeviceSim<'m, M> {
         completions
     }
 
-    /// A snapshot of everything telemetry has recorded so far (`None` when
-    /// telemetry is off). Used by tests to inspect gauges mid-run;
-    /// [`DeviceSim::into_report`] takes the final one.
-    #[cfg(test)]
-    pub(crate) fn telemetry_snapshot(&self) -> Option<rt3_telemetry::TelemetrySnapshot> {
-        self.telemetry.as_ref().map(|t| t.snapshot())
-    }
-
     /// Finalises the run: drops leftover queue entries and assembles the
     /// [`ServeReport`]. Returns the bank alongside so callers that own it
     /// (the single-device engine) can keep it warm across runs.
@@ -711,27 +533,13 @@ impl<'m, M: Model> DeviceSim<'m, M> {
     ) -> (ServeReport, ModelBank<'m, M>) {
         // requests still queued when the trace ends count as misses, but are
         // reported separately from admission rejections
-        let leftover_requests = self.core.drain_queue();
-        let leftover = leftover_requests.len() as u64;
-        let telemetry = self.telemetry.as_mut().map(|t| {
-            t.shard.add(t.ids.dropped_trace_end, leftover);
-            let end_ms = self
-                .windows
-                .last()
-                .map_or(0.0, |w| (w.t_s + 1) as f64 * WINDOW_MS);
-            for request in &leftover_requests {
-                t.settle_prediction(request.id, None);
-                t.trace_event(TraceEvent {
-                    t_ms: end_ms,
-                    request_id: request.id,
-                    kind: TraceEventKind::Drop {
-                        reason: "trace-end",
-                    },
-                });
-            }
-            t.snapshot()
-        });
+        let end_ms = self
+            .windows
+            .last()
+            .map_or(0.0, |w| (w.t_s + 1) as f64 * WINDOW_MS);
+        let leftover = self.core.drop_queue(end_ms).len() as u64;
         let core = self.core;
+        let telemetry = core.telemetry.as_ref().map(|t| t.snapshot());
         let rejected =
             core.scheduler().rejected_queue_full() + core.scheduler().rejected_certain_miss();
         let report = ServeReport {
@@ -758,100 +566,5 @@ impl<'m, M: Model> DeviceSim<'m, M> {
             telemetry,
         };
         (report, self.bank)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rt3_core::{
-        build_search_space, run_level1, run_level2_search, SurrogateEvaluator, TaskProfile,
-    };
-    use rt3_transformer::{TransformerConfig, TransformerLm};
-
-    /// Satellite check for the drain-rate telemetry: after every
-    /// `begin_window` the exported `time_to_death_ms` gauge must equal what
-    /// the [`DrainRateTracker`] returns for the current battery state —
-    /// the router and the dashboards must agree on when a device dies.
-    #[test]
-    fn time_to_death_gauge_tracks_the_drain_rate_tracker() {
-        let model = TransformerLm::new(TransformerConfig::tiny(32), 13);
-        let rt3 = Rt3Config::tiny_test();
-        let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
-        let backbone = run_level1(&model, &rt3, &mut evaluator);
-        let space = build_search_space(&model, &backbone, &rt3);
-        let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
-        let best = outcome.best.as_ref().expect("feasible solution");
-
-        let levels = rt3.governor.levels().to_vec();
-        let bank = ModelBank::new(
-            &model,
-            backbone.masks.clone(),
-            &space,
-            &best.actions,
-            MemoryModel::odroid_xu3(),
-            levels.len(),
-        );
-        let config = ServeConfig {
-            battery_capacity_j: 30.0,
-            real_inference: false,
-            ..ServeConfig::default()
-        };
-        let cost: Arc<dyn CostModel> = Arc::new(Analytic::new(
-            LatencyModel {
-                predictor: rt3.predictor,
-                workload_config: rt3.workload_config.clone(),
-                seq_len: rt3.seq_len,
-            },
-            config.cost,
-        ));
-        let core = DeviceCore::new(
-            Battery::new(config.battery_capacity_j),
-            RuntimeController::new(rt3.governor.clone(), config.hysteresis),
-            RuntimePolicy::Adaptive,
-            DeadlineScheduler::new(config.scheduler),
-            cost,
-            PowerModel::cortex_a7(),
-            WINDOW_S,
-        );
-        let mut device = DeviceSim::new(
-            core,
-            bank,
-            false,
-            10,
-            DeviceTelemetry::new(TelemetryConfig::counters(), Arc::new(WallClock::new())),
-        );
-
-        for t_s in 0..10u32 {
-            let now_ms = t_s as f64 * WINDOW_MS;
-            let serving = device.begin_window(t_s, now_ms, None, 0.0, None);
-            let snapshot = device
-                .telemetry_snapshot()
-                .expect("telemetry is on at Counters");
-            let gauge = snapshot
-                .metrics
-                .gauge("time_to_death_ms")
-                .expect("gauge is registered and set every window");
-            assert_eq!(
-                gauge,
-                device.core.time_to_death_ms(),
-                "window {t_s}: exported gauge must match the tracker"
-            );
-            if t_s == 0 {
-                // no drain observed yet: the tracker reports an infinite
-                // horizon and the gauge must carry it through unchanged
-                assert!(gauge.is_infinite());
-            } else {
-                assert!(
-                    gauge.is_finite() && gauge > 0.0,
-                    "window {t_s}: background drain must bound the horizon"
-                );
-            }
-            if serving {
-                // background load only: 0.5 W drains the battery so the
-                // EWMA has a real trajectory to track
-                device.end_window(t_s, now_ms + WINDOW_MS, 0, 0, 0.5 * WINDOW_S);
-            }
-        }
     }
 }

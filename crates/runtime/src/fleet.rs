@@ -41,7 +41,6 @@ use crate::engine::{DeviceSim, RuntimePolicy, WINDOW_S};
 use crate::report::FleetReport;
 use crate::scenario::FleetScenario;
 use crate::scheduler::{DeadlineScheduler, SchedulerConfig};
-use crate::telemetry::DeviceTelemetry;
 use crate::ModelBank;
 use rt3_core::{Rt3Config, SearchOutcome};
 use rt3_hardware::{Battery, MemoryModel, PowerModel};
@@ -463,14 +462,10 @@ impl<'m, M: Model> Fleet<'m, M> {
                     Arc::clone(&cost),
                     PowerModel::cortex_a7(),
                     WINDOW_S,
+                    config.telemetry,
+                    Arc::clone(&clock),
                 );
-                DeviceSim::new(
-                    core,
-                    bank,
-                    config.real_inference,
-                    duration_s,
-                    DeviceTelemetry::new(config.telemetry, Arc::clone(&clock)),
-                )
+                DeviceSim::new(core, bank, config.real_inference, duration_s)
             })
             .collect();
         Self {

@@ -24,9 +24,9 @@
 //! * [`Scenario`] — trace-driven workloads (constant drain, bursty traffic,
 //!   cliff discharge, charge-while-serving, thermal cap, diurnal day curve).
 //! * [`DeviceCore`] — the bank-free device state machine (battery, drain
-//!   tracker, controller, scheduler, energy accounting) stepped one governor
-//!   window at a time by the engine, the fleet and the `rt3-server` socket
-//!   front-end.
+//!   tracker, controller, scheduler, energy accounting, device telemetry)
+//!   stepped one governor window at a time by the engine, the fleet and the
+//!   `rt3-server` socket front-end.
 //! * [`ServeEngine`] — the event loop tying it together, producing a
 //!   [`ServeReport`] with p50/p95/p99 latency, deadline-miss rate, energy
 //!   and switch counts.

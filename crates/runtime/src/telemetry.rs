@@ -3,9 +3,9 @@
 //! behind the cost-model residuals.
 //!
 //! A [`DeviceTelemetry`] exists only when the configured
-//! [`TelemetryLevel`] is above `Off` — the engine holds an
-//! `Option<DeviceTelemetry>`, so an uninstrumented run touches no telemetry
-//! code at all. At `Counters` the device keeps one [`MetricShard`] of
+//! [`TelemetryLevel`] is above `Off` — the [`crate::DeviceCore`] holds an
+//! `Option<DeviceTelemetry>` and records into it as it steps, so an
+//! uninstrumented run touches no telemetry code at all. At `Counters` the device keeps one [`MetricShard`] of
 //! counters/gauges/histograms (pool workers time their batches locally and
 //! the timings fold into that shard at window boundaries); `Full` adds the
 //! request trace, the controller decision audit and per-request prediction
@@ -13,8 +13,8 @@
 
 use rt3_telemetry::{
     Clock, CounterId, DecisionAudit, DecisionRecord, GaugeId, HistogramId, MetricRegistry,
-    MetricShard, ObsPlane, TelemetryConfig, TelemetryLevel, TelemetrySnapshot, TraceEvent,
-    TraceRecorder,
+    MetricShard, MetricsSnapshot, ObsPlane, TelemetryConfig, TelemetryLevel, TelemetrySnapshot,
+    TraceEvent, TraceRecorder,
 };
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -137,7 +137,11 @@ impl DeviceTelemetry {
     /// is [`TelemetryLevel::Off`] — the caller then skips telemetry
     /// entirely, keeping the uninstrumented hot path byte-identical to the
     /// seed behaviour.
-    pub(crate) fn new(config: TelemetryConfig, clock: Arc<dyn Clock>) -> Option<Self> {
+    pub(crate) fn new(
+        config: TelemetryConfig,
+        clock: Arc<dyn Clock>,
+        window_ms: f64,
+    ) -> Option<Self> {
         if !config.level.counters_enabled() {
             return None;
         }
@@ -149,10 +153,7 @@ impl DeviceTelemetry {
             (
                 Some(TraceRecorder::new(config.trace_capacity)),
                 Some(DecisionAudit::new(config.audit_capacity)),
-                Some(ObsPlane::standard(
-                    crate::engine::WINDOW_MS,
-                    config.series_capacity,
-                )),
+                Some(ObsPlane::standard(window_ms, config.series_capacity)),
             )
         } else {
             (None, None, None)
@@ -232,16 +233,20 @@ impl DeviceTelemetry {
     /// evaluation deterministic under a seed.
     pub(crate) fn observe_window(&mut self, t_s: u32, end_ms: f64) {
         if let Some(obs) = &mut self.obs {
-            let snapshot = self.registry.snapshot(&self.shard);
-            obs.observe_window(t_s, end_ms, snapshot);
+            obs.observe_window(t_s, end_ms, self.registry.snapshot(&self.shard));
         }
+    }
+
+    /// The counters, gauges and histograms recorded so far.
+    pub(crate) fn metrics(&self) -> MetricsSnapshot {
+        self.registry.snapshot(&self.shard)
     }
 
     /// Detaches everything recorded so far into a snapshot for the report.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
         TelemetrySnapshot {
             level: self.level,
-            metrics: self.registry.snapshot(&self.shard),
+            metrics: self.metrics(),
             trace: self.trace.as_ref().map(|t| t.events()).unwrap_or_default(),
             trace_overwritten: self.trace.as_ref().map(|t| t.overwritten()).unwrap_or(0),
             decisions: self
@@ -312,16 +317,7 @@ impl FleetTelemetry {
 
     /// Detaches the router metrics into a snapshot for the fleet report.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            level: self.level,
-            metrics: self.registry.snapshot(&self.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: Default::default(),
-            obs: None,
-        }
+        TelemetrySnapshot::from_metrics(self.level, self.registry.snapshot(&self.shard))
     }
 }
 
@@ -402,15 +398,6 @@ impl ChaosTelemetry {
 
     /// Detaches the client metrics into a snapshot for the chaos report.
     pub(crate) fn snapshot(&self) -> TelemetrySnapshot {
-        TelemetrySnapshot {
-            level: self.level,
-            metrics: self.registry.snapshot(&self.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: Default::default(),
-            obs: None,
-        }
+        TelemetrySnapshot::from_metrics(self.level, self.registry.snapshot(&self.shard))
     }
 }

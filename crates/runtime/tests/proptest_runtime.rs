@@ -22,6 +22,7 @@ use rt3_runtime::{
     ModelBank, Request, RuntimeController, RuntimePolicy, SchedulerConfig, Telemetry,
 };
 use rt3_sparse::SparseFormat;
+use rt3_telemetry::{TelemetryConfig, WallClock};
 use rt3_transformer::{TransformerConfig, TransformerLm};
 use std::sync::Arc;
 
@@ -51,6 +52,8 @@ proptest! {
             cost,
             PowerModel::cortex_a7(),
             1.0,
+            TelemetryConfig::default(),
+            Arc::new(WallClock::new()),
         );
         let level_cost = |_: usize, _: &VfLevel, _: &dyn CostModel| (10.0, 1.0);
         prop_assert!(core.begin_window(0.0, None, 0.0, None, level_cost).serving);

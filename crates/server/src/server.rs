@@ -19,6 +19,13 @@
 //! Every admitted request resolves to exactly one response frame:
 //! completion, explicit reject, or an explicit drop code when the battery
 //! dies or the server shuts down. Backpressure is never a silent stall.
+//!
+//! The device core records the runtime's device metric schema at
+//! `Counters`, the same numbers a simulated device exports for the same
+//! state; completions count when the core dispatches them. The server
+//! itself counts only what a socket adds (connections, protocol errors,
+//! failed writes, draining refusals, shutdown drops), and every scrape
+//! reads the two merged.
 
 use crate::protocol::{
     read_frame, write_frame, ClientFrame, InferResponse, ProtocolError, ServerFrame, Status,
@@ -30,8 +37,8 @@ use rt3_runtime::{
     RejectReason, Request, RuntimeController, RuntimePolicy, SchedulerConfig,
 };
 use rt3_telemetry::{
-    CounterId, GaugeId, HistogramId, MetricRegistry, MetricShard, ObsPlane, ResidualStats,
-    TelemetryLevel, TelemetrySnapshot,
+    CounterId, MetricRegistry, MetricShard, MetricsSnapshot, ObsPlane, TelemetryConfig,
+    TelemetryLevel, TelemetrySnapshot, WallClock,
 };
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -217,10 +224,6 @@ struct InFlight {
     finish_ms: f64,
     internal_id: u64,
     response: InferResponse,
-    latency_ms: f64,
-    queue_ms: f64,
-    infer_ms: f64,
-    met_deadline: bool,
 }
 
 impl PartialEq for InFlight {
@@ -242,64 +245,31 @@ impl Ord for InFlight {
     }
 }
 
-/// Metric handles, registered once at startup. Names follow the runtime's
-/// device-telemetry schema (DESIGN.md §9) so dashboards can consume both.
-struct MetricIds {
-    admitted: CounterId,
-    rejected_queue_full: CounterId,
-    rejected_certain_miss: CounterId,
-    completed: CounterId,
-    deadline_missed: CounterId,
-    dropped_dead: CounterId,
+/// Transport counter handles, registered once at startup. The device
+/// metrics (DESIGN.md §9) are recorded by the [`DeviceCore`]; these count
+/// what only a socket server sees.
+struct TransportIds {
     draining_refused: CounterId,
     dropped_shutdown: CounterId,
     protocol_errors: CounterId,
+    responses_failed: CounterId,
     connections_opened: CounterId,
     connections_closed: CounterId,
     connections_refused_dead: CounterId,
     connections_timed_out: CounterId,
-    responses_failed: CounterId,
-    switches: CounterId,
-    latency_ms: HistogramId,
-    queue_wait_ms: HistogramId,
-    infer_ms: HistogramId,
-    batch_size: HistogramId,
-    switch_time_ms: HistogramId,
-    active_level: GaugeId,
-    state_of_charge: GaugeId,
-    drain_rate_w: GaugeId,
-    time_to_death_ms: GaugeId,
-    queue_depth: GaugeId,
 }
 
-impl MetricIds {
+impl TransportIds {
     fn register(registry: &mut MetricRegistry) -> Self {
         Self {
-            admitted: registry.counter("requests_admitted"),
-            rejected_queue_full: registry.counter("requests_rejected_queue_full"),
-            rejected_certain_miss: registry.counter("requests_rejected_certain_miss"),
-            completed: registry.counter("requests_completed"),
-            deadline_missed: registry.counter("deadline_missed"),
-            dropped_dead: registry.counter("requests_dropped_dead"),
             draining_refused: registry.counter("requests_draining_refused"),
             dropped_shutdown: registry.counter("requests_dropped_shutdown"),
             protocol_errors: registry.counter("protocol_errors"),
+            responses_failed: registry.counter("responses_failed"),
             connections_opened: registry.counter("connections_opened"),
             connections_closed: registry.counter("connections_closed"),
             connections_refused_dead: registry.counter("connections_refused_dead"),
             connections_timed_out: registry.counter("connections_timed_out"),
-            responses_failed: registry.counter("responses_failed"),
-            switches: registry.counter("switches"),
-            latency_ms: registry.histogram("latency_ms"),
-            queue_wait_ms: registry.histogram("queue_wait_ms"),
-            infer_ms: registry.histogram("infer_ms"),
-            batch_size: registry.histogram("batch_size"),
-            switch_time_ms: registry.histogram("switch_time_ms"),
-            active_level: registry.gauge("active_level"),
-            state_of_charge: registry.gauge("state_of_charge"),
-            drain_rate_w: registry.gauge("drain_rate_w"),
-            time_to_death_ms: registry.gauge("time_to_death_ms"),
-            queue_depth: registry.gauge("queue_depth"),
         }
     }
 }
@@ -324,7 +294,8 @@ enum Lifecycle {
 struct Core {
     lifecycle: Lifecycle,
     /// Battery, drain tracker, controller and scheduler: the runtime's
-    /// device state machine, stepped on the wall clock.
+    /// device state machine, stepped on the wall clock. It records the
+    /// device metrics.
     device: DeviceCore,
     next_window_ms: f64,
     next_internal_id: u64,
@@ -332,7 +303,7 @@ struct Core {
     inflight: std::collections::BinaryHeap<Reverse<InFlight>>,
     registry: MetricRegistry,
     shard: MetricShard,
-    ids: MetricIds,
+    ids: TransportIds,
     connections: Vec<Weak<ConnWriter>>,
     /// Live series + alert rules, scraped once per governor window by the
     /// dispatch tick (or by whichever admission catches the boundary
@@ -364,6 +335,42 @@ impl Core {
         if !conn.send(&response.encode()) {
             self.shard.add(self.ids.responses_failed, 1);
         }
+    }
+
+    /// Answers every dropped request with `status` and flushes every
+    /// in-flight response immediately.
+    fn resolve_all(&mut self, dropped: Vec<Request>, status: Status) {
+        for request in dropped {
+            if let Some(entry) = self.pending.remove(&request.id) {
+                let response = self.unserved(entry.client_id, status);
+                self.send(&entry.conn, &response);
+            }
+        }
+        let due: Vec<Reverse<InFlight>> = self.inflight.drain().collect();
+        for Reverse(flight) in due {
+            self.flush_completion(flight);
+        }
+    }
+
+    /// Writes a completion response (the device core counted the
+    /// completion when it dispatched it).
+    fn flush_completion(&mut self, flight: InFlight) {
+        let Some(entry) = self.pending.remove(&flight.internal_id) else {
+            return;
+        };
+        let mut response = flight.response;
+        response.id = entry.client_id;
+        self.send(&entry.conn, &response);
+    }
+
+    /// The device metrics merged with the transport counters.
+    fn metrics(&self) -> MetricsSnapshot {
+        let mut metrics = self
+            .device
+            .metrics()
+            .expect("the device core records at Counters");
+        metrics.merge(&self.registry.snapshot(&self.shard));
+        metrics
     }
 }
 
@@ -413,21 +420,15 @@ impl Shared {
             .begin_window(boundary, None, 0.0, None, |pos, _, _| {
                 (spec.level_base_ms[pos], spec.switch_time_ms)
             });
-        let ids = &core.ids;
-        core.shard.set(ids.drain_rate_w, start.drain_rate_w);
-        core.shard.set(ids.time_to_death_ms, start.time_to_death_ms);
         if !start.serving {
-            self.enter_drain(core);
-            return;
+            // battery death: drop queued requests with an explicit code,
+            // flush every in-flight response immediately, and flip the
+            // acceptor into refuse mode. Connections stay open for
+            // draining responses and metrics queries.
+            core.lifecycle = Lifecycle::Draining;
+            let dropped = core.device.drop_queue(boundary);
+            core.resolve_all(dropped, Status::DroppedDead);
         }
-        if start.switched_from.is_some() {
-            core.shard.add(ids.switches, 1);
-            core.shard.record(ids.switch_time_ms, start.switch_time_ms);
-        }
-        let level_pos = core.device.active_level().unwrap_or(0);
-        core.shard.set(ids.active_level, level_pos as f64);
-        core.shard
-            .set(ids.state_of_charge, core.device.battery().state_of_charge());
     }
 
     /// Scrapes one window boundary into the obs plane, evaluates the alert
@@ -438,8 +439,7 @@ impl Shared {
     fn scrape_window(&self, core: &mut Core, boundary: f64) {
         let t_s = core.window_index;
         core.window_index += 1;
-        let snapshot = core.registry.snapshot(&core.shard);
-        let transitions = core.obs.observe_window(t_s, boundary, snapshot);
+        let transitions = core.obs.observe_window(t_s, boundary, core.metrics());
         if core.subscribers.is_empty() {
             return;
         }
@@ -451,52 +451,6 @@ impl Shared {
             Some(conn) => conn.send(&body),
             None => false,
         });
-    }
-
-    /// Battery death: drop queued requests with an explicit code, flush
-    /// every in-flight response immediately, and flip the acceptor into
-    /// refuse mode. Connections stay open for draining responses and
-    /// metrics queries.
-    fn enter_drain(&self, core: &mut Core) {
-        core.lifecycle = Lifecycle::Draining;
-        self.resolve_all(core, Status::DroppedDead, core.ids.dropped_dead);
-        let ids = &core.ids;
-        core.shard.set(ids.queue_depth, 0.0);
-        core.shard.set(ids.state_of_charge, 0.0);
-    }
-
-    /// Drops every queued request with `status` (each counted under
-    /// `counter`) and flushes every in-flight response immediately.
-    fn resolve_all(&self, core: &mut Core, status: Status, counter: CounterId) {
-        for request in core.device.drain_queue() {
-            if let Some(entry) = core.pending.remove(&request.id) {
-                core.shard.add(counter, 1);
-                let response = core.unserved(entry.client_id, status);
-                core.send(&entry.conn, &response);
-            }
-        }
-        let due: Vec<Reverse<InFlight>> = core.inflight.drain().collect();
-        for Reverse(flight) in due {
-            self.flush_completion(core, flight);
-        }
-    }
-
-    /// Writes a completion response and records its telemetry.
-    fn flush_completion(&self, core: &mut Core, flight: InFlight) {
-        let Some(entry) = core.pending.remove(&flight.internal_id) else {
-            return;
-        };
-        let mut response = flight.response;
-        response.id = entry.client_id;
-        let ids = &core.ids;
-        core.shard.add(ids.completed, 1);
-        if !flight.met_deadline {
-            core.shard.add(ids.deadline_missed, 1);
-        }
-        core.shard.record(ids.latency_ms, flight.latency_ms);
-        core.shard.record(ids.queue_wait_ms, flight.queue_ms);
-        core.shard.record(ids.infer_ms, flight.infer_ms);
-        core.send(&entry.conn, &response);
     }
 
     /// One dispatch tick: advance windows, dispatch due batches, flush
@@ -511,37 +465,22 @@ impl Shared {
         }
         self.advance_windows(core, now_ms);
         if core.lifecycle == Lifecycle::Serving {
-            let completions = core.device.dispatch(now_ms);
-            if !completions.is_empty() {
-                let mut i = 0;
-                while i < completions.len() {
-                    let batch = completions[i].batch;
-                    core.shard.record(core.ids.batch_size, batch as f64);
-                    i += batch;
-                }
-                for completion in completions {
-                    core.inflight.push(Reverse(InFlight {
-                        finish_ms: completion.finish_ms,
-                        internal_id: completion.id,
-                        response: InferResponse {
-                            id: 0, // patched at flush from the pending entry
-                            status: if completion.met_deadline {
-                                Status::Completed
-                            } else {
-                                Status::CompletedLate
-                            },
-                            level_pos: completion.level_pos as u32,
-                            queue_ms: completion.start_ms - completion.arrival_ms,
-                            infer_ms: completion.finish_ms - completion.start_ms,
+            for completion in core.device.dispatch(now_ms) {
+                core.inflight.push(Reverse(InFlight {
+                    finish_ms: completion.finish_ms,
+                    internal_id: completion.id,
+                    response: InferResponse {
+                        id: 0, // patched at flush from the pending entry
+                        status: if completion.met_deadline {
+                            Status::Completed
+                        } else {
+                            Status::CompletedLate
                         },
-                        latency_ms: completion.latency_ms(),
+                        level_pos: completion.level_pos as u32,
                         queue_ms: completion.start_ms - completion.arrival_ms,
                         infer_ms: completion.finish_ms - completion.start_ms,
-                        met_deadline: completion.met_deadline,
-                    }));
-                }
-                let queue_len = core.device.scheduler().queue_len();
-                core.shard.set(core.ids.queue_depth, queue_len as f64);
+                    },
+                }));
             }
         }
         while let Some(Reverse(head)) = core.inflight.peek() {
@@ -549,7 +488,7 @@ impl Shared {
                 break;
             }
             let Reverse(flight) = core.inflight.pop().expect("peeked");
-            self.flush_completion(core, flight);
+            core.flush_completion(flight);
         }
         true
     }
@@ -558,16 +497,10 @@ impl Shared {
     /// simulated runs attach to their reports.
     fn snapshot(&self) -> TelemetrySnapshot {
         let core = self.core.lock().expect("core lock");
-        TelemetrySnapshot {
-            level: TelemetryLevel::Counters,
-            metrics: core.registry.snapshot(&core.shard),
-            trace: Vec::new(),
-            trace_overwritten: 0,
-            decisions: Vec::new(),
-            decisions_overwritten: 0,
-            residuals: ResidualStats::default(),
-            obs: Some(core.obs.snapshot()),
-        }
+        let mut snapshot =
+            TelemetrySnapshot::from_metrics(TelemetryLevel::Counters, core.metrics());
+        snapshot.obs = Some(core.obs.snapshot());
+        snapshot
     }
 }
 
@@ -600,7 +533,7 @@ impl Server {
             .map_err(|e| format!("local_addr failed: {e}"))?;
 
         let mut registry = MetricRegistry::new();
-        let ids = MetricIds::register(&mut registry);
+        let ids = TransportIds::register(&mut registry);
         let shard = registry.shard();
         let mut device = DeviceCore::new(
             Battery::new(spec.battery_capacity_j),
@@ -610,6 +543,8 @@ impl Server {
             Arc::clone(&spec.cost),
             spec.power,
             config.window_ms / 1_000.0,
+            TelemetryConfig::counters(),
+            Arc::new(WallClock::new()),
         );
         // the boot decision activates the initial level (a load, not a
         // counted switch — same convention as the engine)
@@ -700,8 +635,10 @@ impl Server {
                 return;
             }
             core.lifecycle = Lifecycle::Stopped;
-            self.shared
-                .resolve_all(core, Status::DroppedShutdown, core.ids.dropped_shutdown);
+            let dropped = core.device.drain_queue();
+            core.shard
+                .add(core.ids.dropped_shutdown, dropped.len() as u64);
+            core.resolve_all(dropped, Status::DroppedShutdown);
             for conn in core.connections.drain(..) {
                 if let Some(conn) = conn.upgrade() {
                     conn.send(&ServerFrame::encode_terminal(TERMINAL_SHUTDOWN));
@@ -918,21 +855,12 @@ fn handle_infer(shared: &Arc<Shared>, writer: &Arc<ConnWriter>, client_id: u64, 
                     conn: Arc::clone(writer),
                 },
             );
-            let ids = &core.ids;
-            core.shard.add(ids.admitted, 1);
-            core.shard
-                .set(ids.queue_depth, core.device.scheduler().queue_len() as f64);
         }
         Err(reason) => {
-            let (status, counter) = match reason {
-                RejectReason::QueueFull => {
-                    (Status::RejectedQueueFull, core.ids.rejected_queue_full)
-                }
-                RejectReason::CertainMiss => {
-                    (Status::RejectedCertainMiss, core.ids.rejected_certain_miss)
-                }
+            let status = match reason {
+                RejectReason::QueueFull => Status::RejectedQueueFull,
+                RejectReason::CertainMiss => Status::RejectedCertainMiss,
             };
-            core.shard.add(counter, 1);
             let response = core.unserved(client_id, status);
             core.send(writer, &response);
         }

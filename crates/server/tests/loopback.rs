@@ -4,11 +4,17 @@
 //! both sides of the wire, with the server-side telemetry counters
 //! agreeing with the client-side tallies.
 
+use rt3_core::{
+    build_search_space, run_level1, run_level2_search, Rt3Config, SurrogateEvaluator, TaskProfile,
+};
+use rt3_runtime::{Scenario, ServeConfig, ServeEngine};
 use rt3_server::protocol::TERMINAL_BATTERY_DEAD;
 use rt3_server::{
     check_load_invariants, loadgen, InferOutcome, LoadgenConfig, ServeClient, Server, ServerConfig,
     ServerSpec, Status,
 };
+use rt3_telemetry::TelemetryConfig;
+use rt3_transformer::{TransformerConfig, TransformerLm};
 use std::time::{Duration, Instant};
 
 /// A server spec with plenty of battery: nothing dies during the run.
@@ -355,4 +361,58 @@ fn subscribe_streams_obs_chunks_per_window() {
 
     // the infer path keeps working while a subscriber is attached
     worker.infer(99, 1_000.0, b"x").unwrap();
+}
+
+/// One device schema: every counter and histogram a simulated
+/// [`ServeEngine`] run exports at `Counters` is also in the socket
+/// server's snapshot, because both serving paths record through the same
+/// device core.
+#[test]
+fn server_exports_the_simulated_device_schema() {
+    let model = TransformerLm::new(TransformerConfig::tiny(32), 13);
+    let rt3 = Rt3Config::tiny_test();
+    let mut evaluator = SurrogateEvaluator::new(TaskProfile::wikitext2());
+    let backbone = run_level1(&model, &rt3, &mut evaluator);
+    let space = build_search_space(&model, &backbone, &rt3);
+    let outcome = run_level2_search(&model, &backbone, &space, &rt3, &mut evaluator);
+    let mut engine = ServeEngine::new(
+        &model,
+        backbone.masks,
+        &space,
+        &outcome,
+        rt3,
+        ServeConfig {
+            real_inference: false,
+            telemetry: TelemetryConfig::counters(),
+            ..ServeConfig::default()
+        },
+    );
+    let simulated = engine
+        .run(&Scenario::ConstantDrain {
+            duration_s: 5,
+            rps: 4.0,
+            background_w: 0.2,
+        })
+        .telemetry
+        .expect("the run records at Counters")
+        .metrics;
+
+    let mut server = Server::spawn("127.0.0.1:0", healthy_spec(), fast_config()).unwrap();
+    let served = server.metrics_snapshot().metrics;
+    server.shutdown();
+
+    let missing: Vec<&str> = simulated
+        .counters
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|name| served.counter(name).is_none())
+        .chain(
+            simulated
+                .histograms
+                .iter()
+                .map(|(name, _)| name.as_str())
+                .filter(|name| served.histogram(name).is_none()),
+        )
+        .collect();
+    assert!(missing.is_empty(), "the server does not export {missing:?}");
 }

@@ -150,17 +150,6 @@ impl PatternMask {
         out
     }
 
-    /// The mask as a 0/1 matrix.
-    pub fn to_matrix(&self) -> Matrix {
-        Matrix::from_fn(self.size, self.size, |i, j| {
-            if self.is_kept(i, j) {
-                1.0
-            } else {
-                0.0
-            }
-        })
-    }
-
     /// Fraction of kept positions shared with `other` (relative to the larger
     /// kept count); used to reproduce the Fig. 4 observation that patterns
     /// for different V/F levels share important positions.

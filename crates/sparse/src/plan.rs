@@ -297,14 +297,6 @@ impl PatternPlan {
         self.backend
     }
 
-    /// Re-targets the plan to `backend` (clamped to what the CPU
-    /// supports). The lowered layout is backend-independent, so this only
-    /// swaps which kernels `matmul_into` dispatches.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = backend.validated();
-        self
-    }
-
     /// Pattern side length.
     pub fn pattern_size(&self) -> usize {
         self.psize
